@@ -21,8 +21,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --examples"
 cargo build --examples
 
-echo "== cargo test"
-cargo test -q
+echo "== cargo test (every workspace crate)"
+cargo test --workspace -q
 
 echo "== determinism lint (no hash-ordered iteration in hot paths)"
 ./scripts/lint_determinism.sh

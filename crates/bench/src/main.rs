@@ -47,9 +47,9 @@
 //! per-kernel cells/second and the tiled-vs-dense-untiled speedups.
 //!
 //! The `serve` pair freezes the PR-3 serving-subsystem loadgen (200 jobs,
-//! 25% duplicates, fault and deadline injection) — the server schedules
-//! on a virtual tick clock, so every counter *and every latency
-//! percentile* in the file is deterministic.
+//! 25% duplicates, fault and deadline injection) through a one-shard
+//! fleet. The fleet schedules on a virtual tick clock, so every counter
+//! *and every latency percentile* in the file is deterministic.
 //!
 //! The `hotpath` pair freezes the PR-4 memory discipline: each SAMR hot
 //! loop (RKC macro step, ghost exchange, kinetics rate evaluation) is
@@ -911,13 +911,14 @@ fn serve_json() -> String {
         s.run_ticks.max
     ));
     out.push_str("  \"sessions\": [\n");
-    for (i, sess) in s.sessions.iter().enumerate() {
+    let sessions = &s.shards[0].sessions;
+    for (i, sess) in sessions.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"id\": {}, \"epoch\": {}, \"runs\": {}}}{}\n",
             sess.id,
             sess.epoch,
             sess.runs,
-            if i + 1 < s.sessions.len() { "," } else { "" }
+            if i + 1 < sessions.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");

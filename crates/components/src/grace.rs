@@ -315,10 +315,9 @@ impl crate::ports::CheckpointPort for GraceInner {
     }
 
     fn restore(&self, path: &str) -> Result<(), String> {
-        let mut file =
-            std::io::BufReader::new(std::fs::File::open(path).map_err(|e| e.to_string())?);
+        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
         let (hier, objects) =
-            cca_mesh::checkpoint::read_checkpoint(&mut file).map_err(|e| e.to_string())?;
+            cca_mesh::checkpoint::read_checkpoint(&bytes).map_err(|e| e.to_string())?;
         *self.hier.borrow_mut() = Some(hier);
         *self.objects.borrow_mut() = objects;
         Ok(())
@@ -334,9 +333,9 @@ impl crate::ports::CheckpointPort for GraceInner {
         Ok(buf)
     }
 
-    fn restore_bytes(&self, mut bytes: &[u8]) -> Result<(), String> {
+    fn restore_bytes(&self, bytes: &[u8]) -> Result<(), String> {
         let (hier, objects) =
-            cca_mesh::checkpoint::read_checkpoint(&mut bytes).map_err(|e| e.to_string())?;
+            cca_mesh::checkpoint::read_checkpoint(bytes).map_err(|e| e.to_string())?;
         *self.hier.borrow_mut() = Some(hier);
         *self.objects.borrow_mut() = objects;
         Ok(())

@@ -388,6 +388,32 @@ impl Framework {
     }
 }
 
+impl Drop for Framework {
+    /// Break the component ↔ registry reference cycles. A component
+    /// typically stores its [`Services`] handle, and that registry's
+    /// provides table holds the component's port objects (and its uses
+    /// table holds other components' ports), so without this no
+    /// assembled framework would ever be freed. Port handles cloned out
+    /// of the framework stay valid; only the framework's tables let go.
+    fn drop(&mut self) {
+        for inst in self.instances.values() {
+            // A registry still borrowed elsewhere is left as it is: a
+            // leak is better than a panic inside `drop`.
+            let Ok(mut st) = inst.services.state.try_borrow_mut() else {
+                continue;
+            };
+            let tables = (
+                std::mem::take(&mut st.provides),
+                std::mem::take(&mut st.uses),
+            );
+            // Dropped after the borrow ends: a port's own destructor may
+            // reach back into this registry.
+            drop(st);
+            drop(tables);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,6 +531,44 @@ mod tests {
             .err()
             .unwrap();
         assert!(matches!(err, CcaError::NotConnected { .. }));
+    }
+
+    /// A component that keeps its own `Services` handle and provides a
+    /// port backed by itself — the self-referencing shape every real
+    /// component has.
+    struct SelfProv;
+    struct SelfPort {
+        _services: Services,
+    }
+    impl Counter for SelfPort {
+        fn bump(&self) -> u32 {
+            0
+        }
+    }
+    impl Component for SelfProv {
+        fn set_services(&mut self, s: Services) {
+            let port = Rc::new(SelfPort {
+                _services: s.clone(),
+            });
+            s.add_provides_port::<Rc<dyn Counter>>("ctr", port);
+            s.register_uses_port::<Rc<dyn Counter>>("ctr-in");
+        }
+    }
+
+    #[test]
+    fn dropping_the_framework_frees_self_providing_components() {
+        let mut fw = fw();
+        fw.register_class("SelfProv", || Box::new(SelfProv));
+        fw.instantiate("SelfProv", "s").unwrap();
+        // Its own provider: the uses slot holds the provides port too.
+        fw.connect("s", "ctr-in", "s", "ctr").unwrap();
+        let state = Rc::downgrade(&fw.services("s").unwrap().state);
+        assert!(state.upgrade().is_some());
+        drop(fw);
+        assert!(
+            state.upgrade().is_none(),
+            "the services state outlived its framework (reference cycle)"
+        );
     }
 
     #[test]

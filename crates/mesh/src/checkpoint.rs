@@ -115,9 +115,9 @@ fn get_f64(r: &mut impl Read) -> Result<f64, CheckpointError> {
     Ok(f64::from_le_bytes(b))
 }
 
-fn get_str(r: &mut impl Read) -> Result<String, CheckpointError> {
+fn get_str(r: &mut &[u8]) -> Result<String, CheckpointError> {
     let len = get_u64(r)? as usize;
-    if len > 1 << 20 {
+    if len > 1 << 20 || len > r.len() {
         return Err(CheckpointError::Corrupt(format!("string length {len}")));
     }
     let mut buf = vec![0u8; len];
@@ -290,10 +290,57 @@ pub fn write_checkpoint(
     Ok(())
 }
 
-/// Read a checkpoint back.
+/// Bytes one hierarchy patch entry occupies: id, interior box, owner.
+const HIER_PATCH_BYTES: u64 = 8 + 32 + 8;
+
+/// Fewest bytes one Data Object occupies: name length, nvars, nghost and
+/// level count.
+const OBJECT_MIN_BYTES: u64 = 4 * 8;
+
+/// Bytes one stored patch occupies before its field data: id, interior box.
+const OBJECT_PATCH_HEADER: u64 = 8 + 32;
+
+/// Refuse a declared `count` of items, each at least `item_bytes` long,
+/// that cannot fit in the `remaining` bytes of the stream — so no
+/// allocation or loop is ever sized from an untrusted count alone.
+fn fits(
+    count: u64,
+    item_bytes: u64,
+    remaining: usize,
+    what: &str,
+) -> Result<usize, CheckpointError> {
+    match count.checked_mul(item_bytes) {
+        Some(need) if need <= remaining as u64 => Ok(count as usize),
+        _ => Err(CheckpointError::Corrupt(format!(
+            "{count} {what} cannot fit in the {remaining} remaining bytes"
+        ))),
+    }
+}
+
+/// Field-data bytes of one stored patch, `grow(nghost).count() × nvars ×
+/// 8`, in checked arithmetic: `None` when the ghost-grown box leaves the
+/// `i64` index space or the product overflows.
+fn patch_data_bytes(interior: &IntBox, nvars: usize, nghost: i64) -> Option<u64> {
+    let mut cells = 1u64;
+    for k in 0..2 {
+        let lo = interior.lo[k].checked_sub(nghost)?;
+        let hi = interior.hi[k].checked_add(nghost)?;
+        let n = hi.checked_sub(lo)?.checked_add(1)?;
+        cells = cells.checked_mul(u64::try_from(n).ok()?)?;
+    }
+    cells.checked_mul(nvars as u64)?.checked_mul(8)
+}
+
+/// Read a checkpoint back from its bytes.
+///
+/// Every declared count and every patch's data size is checked against
+/// the bytes that remain before anything is allocated for it, so a
+/// corrupted or hostile stream yields a typed [`CheckpointError`] —
+/// never a panic and never an allocation out of proportion to `bytes`.
 pub fn read_checkpoint(
-    r: &mut impl Read,
+    bytes: &[u8],
 ) -> Result<(Hierarchy, BTreeMap<String, DataObject>), CheckpointError> {
+    let r = &mut &bytes[..];
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -311,23 +358,28 @@ pub fn read_checkpoint(
         return Err(CheckpointError::Corrupt(format!("ratio {ratio}")));
     }
     let mut hier = Hierarchy::new(domain0, origin, dx0, ratio);
-    let n_levels = get_u64(r)? as usize;
+    let n_levels = get_u64(r)?;
     if n_levels == 0 || n_levels > 64 {
         return Err(CheckpointError::Corrupt(format!("{n_levels} levels")));
     }
+    let n_levels = fits(n_levels, 8, r.len(), "levels")?;
     hier.levels.clear();
     let mut max_id = 0usize;
     for _ in 0..n_levels {
-        let n_patches = get_u64(r)? as usize;
+        let n_patches = get_u64(r)?;
         if n_patches > 1 << 24 {
             return Err(CheckpointError::Corrupt(format!("{n_patches} patches")));
         }
+        let n_patches = fits(n_patches, HIER_PATCH_BYTES, r.len(), "patches")?;
         let mut level = crate::hierarchy::Level::default();
         for _ in 0..n_patches {
             let id = get_u64(r)? as usize;
             let interior = get_box(r)?;
             let owner = get_u64(r)? as usize;
-            max_id = max_id.max(id + 1);
+            let next = id
+                .checked_add(1)
+                .ok_or_else(|| CheckpointError::Corrupt(format!("patch id {id}")))?;
+            max_id = max_id.max(next);
             level.patches.push(Patch {
                 id,
                 interior,
@@ -338,10 +390,11 @@ pub fn read_checkpoint(
     }
     hier.reserve_ids(max_id);
 
-    let n_objects = get_u64(r)? as usize;
+    let n_objects = get_u64(r)?;
     if n_objects > 1 << 16 {
         return Err(CheckpointError::Corrupt(format!("{n_objects} objects")));
     }
+    let n_objects = fits(n_objects, OBJECT_MIN_BYTES, r.len(), "objects")?;
     let mut objects = BTreeMap::new();
     for _ in 0..n_objects {
         let name = get_str(r)?;
@@ -353,12 +406,24 @@ pub fn read_checkpoint(
             )));
         }
         let mut dobj = DataObject::new(nvars, nghost);
-        let n_levels = get_u64(r)? as usize;
+        let n_levels = fits(get_u64(r)?, 8, r.len(), "object levels")?;
         for level in 0..n_levels {
-            let n_patches = get_u64(r)? as usize;
+            let n_patches = fits(get_u64(r)?, OBJECT_PATCH_HEADER, r.len(), "object patches")?;
             for _ in 0..n_patches {
                 let id = get_u64(r)? as usize;
                 let interior = get_box(r)?;
+                match patch_data_bytes(&interior, nvars, nghost) {
+                    Some(need) if need <= r.len() as u64 => {}
+                    _ => {
+                        return Err(CheckpointError::Corrupt(format!(
+                            "object '{name}' patch {id}: box {:?}..{:?} with {nvars} vars and \
+                             {nghost} ghosts cannot fit in the {} remaining bytes",
+                            interior.lo,
+                            interior.hi,
+                            r.len()
+                        )))
+                    }
+                }
                 let mut pd = PatchData::new(interior, nvars, nghost);
                 let t = pd.total_box();
                 for var in 0..nvars {
@@ -407,7 +472,7 @@ mod tests {
         let (hier, objects) = sample();
         let mut buf = Vec::new();
         write_checkpoint(&hier, &objects, &mut buf).unwrap();
-        let (h2, o2) = read_checkpoint(&mut buf.as_slice()).unwrap();
+        let (h2, o2) = read_checkpoint(&buf).unwrap();
         assert_eq!(h2.domain0, hier.domain0);
         assert_eq!(h2.ratio, hier.ratio);
         assert_eq!(h2.n_levels(), hier.n_levels());
@@ -427,7 +492,7 @@ mod tests {
         let (hier, objects) = sample();
         let mut buf = Vec::new();
         write_checkpoint(&hier, &objects, &mut buf).unwrap();
-        let (mut h2, _) = read_checkpoint(&mut buf.as_slice()).unwrap();
+        let (mut h2, _) = read_checkpoint(&buf).unwrap();
         let existing: Vec<usize> = h2
             .levels
             .iter()
@@ -569,9 +634,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let err = read_checkpoint(&mut &b"NOPE\x01\x00\x00\x00"[..])
-            .err()
-            .unwrap();
+        let err = read_checkpoint(b"NOPE\x01\x00\x00\x00").err().unwrap();
         assert!(matches!(err, CheckpointError::BadHeader(_)), "{err}");
     }
 
@@ -581,7 +644,13 @@ mod tests {
         let mut buf = Vec::new();
         write_checkpoint(&hier, &objects, &mut buf).unwrap();
         buf.truncate(buf.len() / 2);
-        let err = read_checkpoint(&mut buf.as_slice()).err().unwrap();
+        // The cut lands inside a patch's field data: its declared size no
+        // longer fits, which is refused before the patch is allocated.
+        let err = read_checkpoint(&buf).err().unwrap();
+        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("remaining bytes"), "{err}");
+        // A cut inside a fixed-size field is a plain unexpected EOF.
+        let err = read_checkpoint(&buf[..10]).err().unwrap();
         assert!(matches!(err, CheckpointError::Io(_)), "{err}");
     }
 
@@ -593,7 +662,7 @@ mod tests {
         // ratio sits after magic(4) + version(4) + box(32) + origin/dx(32).
         let off = 4 + 4 + 32 + 32;
         buf[off..off + 8].copy_from_slice(&999i64.to_le_bytes());
-        let err = read_checkpoint(&mut buf.as_slice()).err().unwrap();
+        let err = read_checkpoint(&buf).err().unwrap();
         assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
     }
 }

@@ -45,7 +45,7 @@ impl Artifacts {
     }
 }
 
-/// Counters the cache exposes through [`crate::stats::ServerStats`].
+/// Counters the cache exposes through [`crate::ShardStat`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries currently resident.

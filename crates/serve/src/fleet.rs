@@ -2,8 +2,30 @@
 //! deterministic work stealing, per-tenant QoS fair-share scheduling,
 //! deadline-aware admission, and checkpoint-based migration of long jobs.
 //!
-//! The single [`crate::server::Server`] of PR 3 is one session pool
-//! behind one queue. A fleet shards that capability:
+//! A shard is one session pool behind one queue; a one-shard fleet
+//! (`FleetConfig { shards: 1, .. }`) is the plain job server. Job
+//! lifecycle (the DESIGN.md state machine):
+//!
+//! ```text
+//! submit ──admission error──▶ Rejected(admission)
+//!   │ ──deadline unreachable▶ Rejected(deadline) or downgraded to batch
+//!   │ ──queue full──────────▶ Rejected(full, retry-after hint)
+//!   │ ──home cache hit──────▶ Cached
+//!   │ ──duplicate queued────▶ Follower ──primary done──▶ Cached
+//!   ▼                                  └─primary lost──▶ promoted to primary
+//! Queued ──ready + free session──▶ Running ──ok────────▶ Completed (+ cache insert)
+//!   │  ▲                              │ ──slice over──▶ Preempted: continuation re-queued
+//!   │  └──────────────────────────────┤ ──budget/token▶ Cancelled
+//!   │                                 │ ──solver error▶ Failed
+//!   │                                 └──panic───────▶ session poisoned + rebuilt,
+//!   │                                                  retry w/ backoff or Failed
+//!   └──client cancel──▶ Cancelled
+//! ```
+//!
+//! Time is counted in **virtual ticks**: an attempt costs `1 + macro
+//! steps executed`. Queue waits, retry backoff, and the retry-after hint
+//! are all tick arithmetic, so the whole schedule is a pure function of
+//! the submission sequence. Across shards:
 //!
 //! * **Routing** — every [`JobKey`] has exactly one *home* shard, chosen
 //!   by a [`HashRing`] (FNV points, no process-seeded hashing, identical
@@ -40,19 +62,126 @@
 //! any-pool-size restart guarantee `cca-ckpt` gives the distributed SAMR
 //! runs.
 
+use crate::cache::Artifacts;
 use crate::cost::{CostModel, LatePolicy};
 use crate::job::{fnv1a64, JobId, JobKey, Override, SimJob, WorkloadKind, FNV_OFFSET};
 use crate::queue::Entry;
-use crate::server::{JobOutcome, SubmitError};
 use crate::session::{CancelReason, CancelToken, PaletteFn, PreemptSpec, RunOutcome};
 use crate::shard::{Follower, Shard, ShardStat};
-use crate::stats::LatencyStat;
+use crate::stats::{LatencyStat, SessionStat};
 use crate::tenant::{default_tenants, TenantSpec, TenantState};
 use cca_analyze::Analyzer;
 use cca_ckpt::HandoffTicket;
 use cca_core::{ExecutorStats, Profiler};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+
+/// Why a submission was refused (no session time was spent on it).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SubmitError {
+    /// Queue at capacity: back off and resubmit after the hinted ticks.
+    QueueFull {
+        /// Queue depth at rejection time.
+        depth: usize,
+        /// Deterministic hint: ticks until a slot is plausibly free.
+        retry_after: u64,
+    },
+    /// The static admission check found errors; rendered report attached.
+    Admission {
+        /// `cca-analyze` report rendered against the submitted script.
+        report: String,
+    },
+    /// The fleet's cost model proved the deadline unreachable: even the
+    /// globally earliest-free session would finish at `needed`, past
+    /// `deadline`. Raised only for jobs with [`LatePolicy::Reject`].
+    Deadline {
+        /// Earliest provable completion tick (absolute).
+        needed: u64,
+        /// The requested deadline (absolute virtual tick).
+        deadline: u64,
+    },
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SubmitError::QueueFull { depth, retry_after } => {
+                write!(
+                    f,
+                    "queue full (depth {depth}); retry after {retry_after} ticks"
+                )
+            }
+            SubmitError::Admission { report } => {
+                write!(f, "rejected by admission check:\n{report}")
+            }
+            SubmitError::Deadline { needed, deadline } => {
+                write!(
+                    f,
+                    "deadline provably unreachable: earliest completion at tick {needed}, \
+                     deadline at tick {deadline}"
+                )
+            }
+        }
+    }
+}
+
+/// Terminal state of an accepted submission.
+#[derive(Clone, Debug)]
+pub enum JobOutcome {
+    /// Ran to completion on a session.
+    Completed {
+        /// The results.
+        artifacts: Rc<Artifacts>,
+        /// Ticks from submission to the job's first start.
+        wait_ticks: u64,
+        /// Session ticks spent over every attempt and slice.
+        run_ticks: u64,
+        /// Attempts consumed (1 = first try).
+        attempts: u32,
+        /// Session slot the final attempt ran on.
+        session: usize,
+    },
+    /// Served from the result cache (submit-time hit or coalesced onto a
+    /// completing duplicate).
+    Cached {
+        /// The results — bit-identical to a cold run.
+        artifacts: Rc<Artifacts>,
+        /// Ticks from submission to resolution.
+        wait_ticks: u64,
+    },
+    /// Stopped cooperatively.
+    Cancelled {
+        /// Deadline or client token.
+        reason: CancelReason,
+        /// Ticks from submission to the stop.
+        wait_ticks: u64,
+        /// Macro steps executed before the stop.
+        steps: u64,
+    },
+    /// Terminal failure (deterministic error, or retries exhausted).
+    Failed {
+        /// What went wrong.
+        reason: String,
+        /// Attempts consumed.
+        attempts: u32,
+    },
+}
+
+impl JobOutcome {
+    /// Short tag for outcome lines (`completed`, `cached`, ...).
+    pub fn tag(&self) -> &'static str {
+        match self {
+            JobOutcome::Completed { .. } => "completed",
+            JobOutcome::Cached { .. } => "cached",
+            JobOutcome::Cancelled {
+                reason: CancelReason::Deadline { .. },
+                ..
+            } => "cancelled-deadline",
+            JobOutcome::Cancelled { .. } => "cancelled-user",
+            JobOutcome::Failed { .. } => "failed",
+        }
+    }
+}
 
 /// Consistent-hash ring mapping job keys onto shards.
 ///
@@ -317,7 +446,7 @@ impl FleetStats {
                 "shard {}: sessions {}/{} queue {} completed {} cached {} retries {} \
                  steals in/out {}/{} cache hits {} misses {}\n",
                 s.id,
-                s.sessions,
+                s.sessions.len(),
                 s.target_sessions,
                 s.queue_depth,
                 s.completed,
@@ -634,9 +763,10 @@ impl Fleet {
         }
     }
 
-    /// Cancel an accepted submission (same contract as the single
-    /// server: queued primaries resolve immediately and a follower is
-    /// promoted; followers detach without touching the primary).
+    /// Cancel an accepted submission. Queued primaries resolve
+    /// immediately (a follower is promoted in their place); followers
+    /// detach without touching the primary. Returns `false` if the id is
+    /// unknown or already resolved.
     pub fn cancel(&mut self, id: JobId) -> bool {
         if self.outcomes.contains_key(&id) {
             return false;
@@ -753,7 +883,16 @@ impl Fleet {
                 .iter()
                 .map(|s| ShardStat {
                     id: s.id,
-                    sessions: s.sessions.len(),
+                    sessions: s
+                        .sessions
+                        .iter()
+                        .map(|x| SessionStat {
+                            id: x.id,
+                            epoch: x.epoch,
+                            runs: x.runs,
+                            free_at: x.free_at,
+                        })
+                        .collect(),
                     target_sessions: s.target_sessions,
                     queue_depth: s.queue.depth() as u64,
                     completed: s.completed,
@@ -1018,7 +1157,7 @@ impl Fleet {
         let start = self.clock;
         let inject = entry.attempts < entry.job.fault.fail_attempts;
         let palette = self.cfg.palette.clone();
-        let (outcome, steps, exec) = self.shards[s].sessions[si].execute_sliced(
+        let (outcome, steps, exec) = self.shards[s].sessions[si].execute(
             &entry.job,
             entry.token.clone(),
             inject,

@@ -15,7 +15,7 @@ use cca_analyze::commplan::CommPlan;
 use cca_apps::scaling::ScalingConfig;
 use std::fmt;
 
-/// Unique per-submission identifier handed back by the server.
+/// Unique per-submission identifier handed back by the fleet.
 pub type JobId = u64;
 
 /// Which stepper drives the assembled application (the serve-side

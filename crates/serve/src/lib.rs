@@ -9,32 +9,33 @@
 //! * [`job::SimJob`] — a request: rc-script + typed parameter overrides,
 //!   content-hashed into a [`job::JobKey`] so identical physics is
 //!   recognized no matter how the script is formatted.
-//! * [`server::Server`] — admission (via `cca-analyze`, so doomed
-//!   scripts never spend a session), a bounded priority/FIFO queue with
-//!   backpressure, a pool of framework sessions with panic isolation
+//! * [`fleet::Fleet`] — the one scheduler: admission (via `cca-analyze`,
+//!   so doomed scripts never spend a session), bounded per-shard queues
+//!   with backpressure, pools of framework sessions with panic isolation
 //!   (poisoned sessions are rebuilt, never reused), bounded
 //!   retry-with-backoff for transient faults, and step-budget deadlines
-//!   enforced cooperatively between macro steps.
+//!   enforced cooperatively between macro steps. A one-shard fleet
+//!   (`FleetConfig { shards: 1, .. }`) is the plain job server.
 //! * [`cache::ResultCache`] — completed artifacts (field norms, digest,
 //!   optional checkpoint bytes) in an LRU cache; duplicate submissions
 //!   coalesce onto in-flight work and are answered bit-identically.
-//! * [`stats::ServerStats`] — queue depth, wait/run tick distributions
-//!   (p50/p95/p99 from the core profiler's sample reservoir), cache hit
-//!   counters, retries, poisonings, rejections.
+//! * [`fleet::FleetStats`] — queue depth, wait/run/turnaround tick
+//!   distributions (p50/p95/p99 from the core profiler's sample
+//!   reservoir), cache hit counters, retries, poisonings, rejections,
+//!   and per-shard, per-session and per-tenant rows.
 //!
 //! Scheduling runs on a **virtual clock** (ticks = macro steps), so
 //! every latency number and the entire schedule are deterministic — no
 //! wall-clock sleeps anywhere, which is what lets CI pin the loadgen
-//! benchmark byte-for-byte (`BENCH_PR3.json`).
+//! benchmarks byte-for-byte (`BENCH_PR3.json`, `BENCH_PR10.json`).
 //!
-//! PR 10 scales the single server out into a **fleet**
-//! ([`fleet::Fleet`]): N shards behind a consistent-hash router
-//! ([`fleet::HashRing`]) so coalescing and the result cache stay
-//! effective per shard, deterministic work stealing between idle and
-//! overloaded pools, per-tenant QoS fair share ([`tenant`]),
-//! cost-model-based deadline admission ([`cost`]), and preemptive
-//! checkpoint-based migration of long jobs between shards (real
-//! `cca-ckpt` bytes under a sealed handoff ticket — results stay
+//! With more than one shard the fleet puts N session pools behind a
+//! consistent-hash router ([`fleet::HashRing`]) so coalescing and the
+//! result cache stay effective per shard, with deterministic work
+//! stealing between idle and overloaded pools, per-tenant QoS fair share
+//! ([`tenant`]), cost-model-based deadline admission ([`cost`]), and
+//! preemptive checkpoint-based migration of long jobs between shards
+//! (real `cca-ckpt` bytes under a sealed handoff ticket — results stay
 //! bit-identical to unmigrated runs).
 
 pub mod cache;
@@ -43,7 +44,6 @@ pub mod fleet;
 pub mod job;
 pub mod loadgen;
 pub(crate) mod queue;
-pub mod server;
 pub mod session;
 pub(crate) mod shard;
 pub mod stats;
@@ -52,15 +52,14 @@ pub mod workload;
 
 pub use cache::{Artifacts, CacheStats, ResultCache};
 pub use cost::{CostModel, CostPrediction, LatePolicy};
-pub use fleet::{Fleet, FleetConfig, FleetStats, HashRing, TenantRow};
+pub use fleet::{Fleet, FleetConfig, FleetStats, HashRing, JobOutcome, SubmitError, TenantRow};
 pub use job::{DistributedSpec, FaultSpec, JobId, JobKey, Override, SimJob, WorkloadKind};
 pub use loadgen::{
     fleet_request_stream, fleet_tenants, run_fleet_loadgen, run_loadgen, FleetLoadgenConfig,
     FleetLoadgenReport, LoadgenConfig, LoadgenReport,
 };
-pub use server::{JobOutcome, Server, ServerConfig, SubmitError};
 pub use session::{CancelReason, CancelToken, PreemptSpec, StepSignal};
 pub use shard::ShardStat;
-pub use stats::{LatencyStat, ServerStats, SessionStat};
+pub use stats::{LatencyStat, SessionStat};
 pub use tenant::{default_tenants, QosClass, TenantSpec, TenantState};
 pub use workload::{serve_palette, IgnitionSpec, JobConfig, RdSpec};

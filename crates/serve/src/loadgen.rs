@@ -1,24 +1,26 @@
-//! Deterministic load generator: N synthetic clients submitting a mixed
-//! 0D-ignition / reaction–diffusion job stream with a fixed duplicate
-//! ratio, in bursts that deliberately exceed the queue capacity so the
-//! backpressure path is exercised. Used by `tests/serve_loadgen.rs` to
-//! pin the no-lost-jobs and cache-hit guarantees, and by `cca-bench` to
-//! emit the drift-checked `BENCH_PR3.json` baseline.
+//! Deterministic load generators: synthetic clients submitting job
+//! streams in bursts that deliberately exceed the queue capacity so the
+//! backpressure path is exercised. [`run_loadgen`] drives a mixed
+//! 0D-ignition / reaction–diffusion stream (fixed duplicate ratio,
+//! injected faults and deadlines) through a one-shard fleet;
+//! [`run_fleet_loadgen`] drives the multi-tenant stream through N shards.
+//! Both share one submit-burst / defer-rejections / drain loop. Used by
+//! `tests/serve_loadgen.rs` to pin the no-lost-jobs and cache-hit
+//! guarantees, and by `cca-bench` to emit the drift-checked
+//! `BENCH_PR3.json` and `BENCH_PR10.json` baselines.
 //!
 //! Everything is a pure function of the seed: the request mix, the
-//! submission order, and (because the server runs on a virtual clock)
+//! submission order, and (because the fleet runs on a virtual clock)
 //! every latency number in the report.
 
 use crate::cost::LatePolicy;
-use crate::fleet::{Fleet, FleetConfig, FleetStats};
+use crate::fleet::{Fleet, FleetConfig, FleetStats, JobOutcome, SubmitError};
 use crate::job::{fnv1a64, FaultSpec, JobId, SimJob, FNV_OFFSET};
-use crate::server::{JobOutcome, Server, ServerConfig, SubmitError};
-use crate::stats::ServerStats;
+use crate::session::CancelReason;
 use crate::tenant::{QosClass, TenantSpec};
-use crate::workload::{serve_palette, IgnitionSpec, RdSpec};
+use crate::workload::{IgnitionSpec, RdSpec};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// Loadgen shape. The defaults are the PR's pinned scenario: 200 jobs,
 /// 25% duplicates, 4 sessions, bursts of 32 against a 24-deep queue.
@@ -30,14 +32,14 @@ pub struct LoadgenConfig {
     pub duplicate_ratio: f64,
     /// PRNG seed — the entire scenario is a function of it.
     pub seed: u64,
-    /// Server session-pool size.
+    /// Session-pool size of the one-shard fleet.
     pub sessions: usize,
-    /// Server queue capacity.
+    /// Queue capacity of the one-shard fleet.
     pub queue_capacity: usize,
     /// Requests submitted per burst (set above `queue_capacity` to force
     /// rejection events).
     pub burst: usize,
-    /// Server result-cache capacity.
+    /// Result-cache capacity of the one-shard fleet.
     pub cache_capacity: usize,
 }
 
@@ -81,8 +83,8 @@ pub struct LoadgenReport {
     pub total_ticks: u64,
     /// `jobs * 1000 / total_ticks`.
     pub throughput_jobs_per_kilotick: f64,
-    /// Full server statistics snapshot at the end.
-    pub stats: ServerStats,
+    /// Full fleet statistics snapshot at the end.
+    pub stats: FleetStats,
     /// Accepted submission ids, in submission order.
     pub ids: Vec<JobId>,
 }
@@ -184,80 +186,115 @@ pub fn request_stream(cfg: &LoadgenConfig) -> Vec<SimJob> {
     requests
 }
 
-/// Run the scenario: submit in bursts, resubmit queue-full rejections in
-/// the next burst, drain between bursts, and summarize.
+/// Run the scenario on a one-shard fleet: submit in bursts, resubmit
+/// queue-full rejections in the next burst, drain between bursts, and
+/// summarize.
 pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
-    let mut server = Server::new(ServerConfig {
-        palette: Rc::new(serve_palette),
-        sessions: cfg.sessions,
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 1,
+        sessions_per_shard: cfg.sessions,
         queue_capacity: cfg.queue_capacity,
         cache_capacity: cfg.cache_capacity,
-        ..ServerConfig::default()
+        ..FleetConfig::default()
     });
-
-    let requests = request_stream(cfg);
-    let duplicate_requests = (cfg.jobs as f64 * cfg.duplicate_ratio).round() as u64;
-    let mut pending: VecDeque<SimJob> = requests.into();
-    let mut ids = Vec::with_capacity(cfg.jobs);
-    let mut rejection_events = 0u64;
-
-    while !pending.is_empty() {
-        let mut deferred: Vec<SimJob> = Vec::new();
-        for _ in 0..cfg.burst.max(1) {
-            let Some(job) = pending.pop_front() else {
-                break;
-            };
-            match server.submit(job.clone()) {
-                Ok(id) => ids.push(id),
-                Err(SubmitError::QueueFull { .. }) => {
-                    rejection_events += 1;
-                    deferred.push(job);
-                }
-                Err(e) => {
-                    unreachable!("loadgen scripts are admission-clean and deadline-free: {e}")
-                }
-            }
-        }
-        server.run_until_idle();
-        for job in deferred.into_iter().rev() {
-            pending.push_front(job);
-        }
+    let run = submit_in_bursts(&mut fleet, request_stream(cfg), cfg.burst);
+    if let Some((_, e)) = run.refused.first() {
+        unreachable!("loadgen scripts are admission-clean and deadline-free: {e}");
     }
-
-    let mut completed = 0u64;
-    let mut cached = 0u64;
-    let mut cancelled_deadline = 0u64;
-    let mut cancelled_user = 0u64;
-    let mut failed = 0u64;
+    let ids: Vec<JobId> = run.accepted.iter().map(|&(_, id)| id).collect();
+    let mut tally = Tally::default();
     for id in &ids {
-        match server.outcome(*id) {
-            Some(JobOutcome::Completed { .. }) => completed += 1,
-            Some(JobOutcome::Cached { .. }) => cached += 1,
-            Some(JobOutcome::Cancelled { reason, .. }) => match reason {
-                crate::session::CancelReason::Deadline { .. } => cancelled_deadline += 1,
-                crate::session::CancelReason::User => cancelled_user += 1,
-            },
-            Some(JobOutcome::Failed { .. }) => failed += 1,
-            None => {} // counted as lost by the caller's invariant check
-        }
+        tally.count(fleet.outcome(*id));
     }
 
-    let stats = server.stats();
+    let stats = fleet.stats();
     let total_ticks = stats.clock.max(1);
     LoadgenReport {
         config: *cfg,
-        completed,
-        cached,
-        cancelled_deadline,
-        cancelled_user,
-        failed,
-        rejection_events,
-        duplicate_requests,
-        cache_hit_ratio: cached as f64 / cfg.jobs.max(1) as f64,
+        completed: tally.completed,
+        cached: tally.cached,
+        cancelled_deadline: tally.cancelled_deadline,
+        cancelled_user: tally.cancelled_user,
+        failed: tally.failed,
+        rejection_events: run.rejection_events,
+        duplicate_requests: (cfg.jobs as f64 * cfg.duplicate_ratio).round() as u64,
+        cache_hit_ratio: tally.cached as f64 / cfg.jobs.max(1) as f64,
         total_ticks,
         throughput_jobs_per_kilotick: cfg.jobs as f64 * 1000.0 / total_ticks as f64,
         stats,
         ids,
+    }
+}
+
+/// What [`submit_in_bursts`] left behind, each submission tagged with its
+/// index in the original request stream.
+struct BurstRun {
+    /// Accepted submissions, in acceptance order.
+    accepted: Vec<(usize, JobId)>,
+    /// Refusals other than queue-full backpressure (never resubmitted).
+    refused: Vec<(usize, SubmitError)>,
+    /// Queue-full rejection events (each was resubmitted later).
+    rejection_events: u64,
+}
+
+/// The loop both loadgens share: submit `requests` in bursts of `burst`,
+/// defer queue-full rejections to the head of the next burst, and drain
+/// the fleet between bursts.
+fn submit_in_bursts(fleet: &mut Fleet, requests: Vec<SimJob>, burst: usize) -> BurstRun {
+    let mut pending: VecDeque<(usize, SimJob)> = requests.into_iter().enumerate().collect();
+    let mut run = BurstRun {
+        accepted: Vec::with_capacity(pending.len()),
+        refused: Vec::new(),
+        rejection_events: 0,
+    };
+    while !pending.is_empty() {
+        let mut deferred: Vec<(usize, SimJob)> = Vec::new();
+        for _ in 0..burst.max(1) {
+            let Some((req, job)) = pending.pop_front() else {
+                break;
+            };
+            match fleet.submit(job.clone()) {
+                Ok(id) => run.accepted.push((req, id)),
+                Err(SubmitError::QueueFull { .. }) => {
+                    run.rejection_events += 1;
+                    deferred.push((req, job));
+                }
+                Err(e) => run.refused.push((req, e)),
+            }
+        }
+        fleet.run_until_idle();
+        for item in deferred.into_iter().rev() {
+            pending.push_front(item);
+        }
+    }
+    run
+}
+
+/// Terminal-outcome counters over a set of accepted submissions.
+#[derive(Default)]
+struct Tally {
+    completed: u64,
+    cached: u64,
+    cancelled_deadline: u64,
+    cancelled_user: u64,
+    failed: u64,
+    /// Accepted submissions without a terminal outcome.
+    lost: u64,
+}
+
+impl Tally {
+    fn count(&mut self, outcome: Option<&JobOutcome>) {
+        match outcome {
+            Some(JobOutcome::Completed { .. }) => self.completed += 1,
+            Some(JobOutcome::Cached { .. }) => self.cached += 1,
+            Some(JobOutcome::Cancelled {
+                reason: CancelReason::Deadline { .. },
+                ..
+            }) => self.cancelled_deadline += 1,
+            Some(JobOutcome::Cancelled { .. }) => self.cancelled_user += 1,
+            Some(JobOutcome::Failed { .. }) => self.failed += 1,
+            None => self.lost += 1,
+        }
     }
 }
 
@@ -454,69 +491,24 @@ pub fn run_fleet_loadgen(cfg: &FleetLoadgenConfig) -> FleetLoadgenReport {
     });
 
     let requests = fleet_request_stream(cfg);
-    let n = requests.len();
-    let mut pending: VecDeque<(usize, SimJob)> = requests.into_iter().enumerate().collect();
     // Outcome slot per original request index.
-    let mut resolved: Vec<Option<ReqOutcome>> = vec![None; n];
-    let mut ids: Vec<(usize, JobId)> = Vec::with_capacity(n);
-    let mut rejection_events = 0u64;
+    let mut resolved: Vec<Option<ReqOutcome>> = vec![None; requests.len()];
+    let run = submit_in_bursts(&mut fleet, requests, cfg.burst);
     let mut rejected_deadline = 0u64;
-
-    while !pending.is_empty() {
-        let mut deferred: Vec<(usize, SimJob)> = Vec::new();
-        for _ in 0..cfg.burst.max(1) {
-            let Some((req, job)) = pending.pop_front() else {
-                break;
-            };
-            match fleet.submit(job.clone()) {
-                Ok(id) => ids.push((req, id)),
-                Err(SubmitError::QueueFull { .. }) => {
-                    rejection_events += 1;
-                    deferred.push((req, job));
-                }
-                Err(SubmitError::Deadline { .. }) => {
-                    rejected_deadline += 1;
-                    resolved[req] = Some(ReqOutcome::RejectedDeadline);
-                }
-                Err(e) => {
-                    unreachable!("fleet loadgen scripts are admission-clean: {e}")
-                }
+    for (req, e) in &run.refused {
+        match e {
+            SubmitError::Deadline { .. } => {
+                rejected_deadline += 1;
+                resolved[*req] = Some(ReqOutcome::RejectedDeadline);
             }
-        }
-        fleet.run_until_idle();
-        for item in deferred.into_iter().rev() {
-            pending.push_front(item);
+            e => unreachable!("fleet loadgen scripts are admission-clean: {e}"),
         }
     }
-
-    let mut completed = 0u64;
-    let mut cached = 0u64;
-    let mut cancelled_deadline = 0u64;
-    let mut failed = 0u64;
-    let mut lost = 0u64;
-    for (req, id) in &ids {
-        match fleet.outcome(*id) {
-            Some(JobOutcome::Completed { artifacts, .. }) => {
-                completed += 1;
-                resolved[*req] = Some(ReqOutcome::Artifact(artifacts.transcript_digest.clone()));
-            }
-            Some(JobOutcome::Cached { artifacts, .. }) => {
-                cached += 1;
-                resolved[*req] = Some(ReqOutcome::Artifact(artifacts.transcript_digest.clone()));
-            }
-            Some(JobOutcome::Cancelled { reason, .. }) => {
-                match reason {
-                    crate::session::CancelReason::Deadline { .. } => cancelled_deadline += 1,
-                    crate::session::CancelReason::User => {}
-                }
-                resolved[*req] = Some(ReqOutcome::Cancelled);
-            }
-            Some(JobOutcome::Failed { .. }) => {
-                failed += 1;
-                resolved[*req] = Some(ReqOutcome::Failed);
-            }
-            None => lost += 1,
-        }
+    let mut tally = Tally::default();
+    for &(req, id) in &run.accepted {
+        let outcome = fleet.outcome(id);
+        tally.count(outcome);
+        resolved[req] = outcome.map(ReqOutcome::of);
     }
 
     // Request-order checksum: schedule-independent by construction —
@@ -538,13 +530,13 @@ pub fn run_fleet_loadgen(cfg: &FleetLoadgenConfig) -> FleetLoadgenReport {
     let total_ticks = stats.clock.max(1);
     FleetLoadgenReport {
         config: *cfg,
-        completed,
-        cached,
-        cancelled_deadline,
-        failed,
+        completed: tally.completed,
+        cached: tally.cached,
+        cancelled_deadline: tally.cancelled_deadline,
+        failed: tally.failed,
         rejected_deadline,
-        rejection_events,
-        lost,
+        rejection_events: run.rejection_events,
+        lost: tally.lost,
         total_ticks,
         throughput_jobs_per_kilotick: cfg.jobs as f64 * 1000.0 / total_ticks as f64,
         outcome_checksum: checksum,
@@ -564,6 +556,18 @@ enum ReqOutcome {
     Failed,
     /// Refused by deadline admission.
     RejectedDeadline,
+}
+
+impl ReqOutcome {
+    fn of(outcome: &JobOutcome) -> Self {
+        match outcome {
+            JobOutcome::Completed { artifacts, .. } | JobOutcome::Cached { artifacts, .. } => {
+                ReqOutcome::Artifact(artifacts.transcript_digest.clone())
+            }
+            JobOutcome::Cancelled { .. } => ReqOutcome::Cancelled,
+            JobOutcome::Failed { .. } => ReqOutcome::Failed,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
-//! The bounded admission queue: FIFO within a priority class, with
-//! per-entry `ready_at` ticks so retried jobs back off without wall-clock
-//! sleeps. Capacity is a hard bound — a full queue rejects with a
-//! retry-after hint rather than growing without limit (backpressure).
+//! The bounded admission queue: entries carry `ready_at` ticks so retried
+//! jobs back off without wall-clock sleeps, and the scheduler pops the
+//! ready entry that maximizes its own key ([`JobQueue::pop_ready_by`]).
+//! Capacity is a hard bound on client submissions — a full queue rejects
+//! with a retry-after hint rather than growing without limit
+//! (backpressure).
 
 use crate::job::{JobId, JobKey, SimJob};
 use crate::session::CancelToken;
@@ -9,7 +11,7 @@ use crate::session::CancelToken;
 /// One queued submission.
 #[derive(Clone)]
 pub(crate) struct Entry {
-    /// Server-assigned submission id.
+    /// Fleet-assigned submission id.
     pub id: JobId,
     /// Monotone submission sequence — the FIFO tiebreaker.
     pub seq: u64,
@@ -61,26 +63,6 @@ impl JobQueue {
         }
         self.entries.push(entry);
         Ok(())
-    }
-
-    /// Earliest `ready_at` over all entries (`None` when empty) — the
-    /// tick the scheduler fast-forwards to when nothing is ready yet.
-    pub fn next_ready_at(&self) -> Option<u64> {
-        self.entries.iter().map(|e| e.ready_at).min()
-    }
-
-    /// Remove and return the dispatchable entry at `clock`: among entries
-    /// with `ready_at <= clock`, the highest priority, then lowest
-    /// sequence number. Deterministic by construction.
-    pub fn pop_ready(&mut self, clock: u64) -> Option<Entry> {
-        let idx = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.ready_at <= clock)
-            .max_by_key(|(_, e)| (e.job.priority, std::cmp::Reverse(e.seq)))
-            .map(|(i, _)| i)?;
-        Some(self.entries.remove(idx))
     }
 
     /// Remove and return the ready entry (at `clock`) maximizing `key` —
@@ -165,25 +147,31 @@ mod tests {
         }
     }
 
+    /// The classic scheduling key: priority first, then FIFO by sequence.
+    fn pop(q: &mut JobQueue, clock: u64) -> Option<Entry> {
+        q.pop_ready_by(clock, |e| (e.job.priority, std::cmp::Reverse(e.seq)))
+    }
+
     #[test]
     fn fifo_within_priority_and_priority_wins() {
         let mut q = JobQueue::new(8);
         q.push(entry(1, 1, 0, 0)).unwrap();
         q.push(entry(2, 2, 0, 0)).unwrap();
         q.push(entry(3, 3, 5, 0)).unwrap();
-        assert_eq!(q.pop_ready(0).unwrap().id, 3); // priority first
-        assert_eq!(q.pop_ready(0).unwrap().id, 1); // then FIFO
-        assert_eq!(q.pop_ready(0).unwrap().id, 2);
-        assert!(q.pop_ready(0).is_none());
+        assert_eq!(pop(&mut q, 0).unwrap().id, 3); // priority first
+        assert_eq!(pop(&mut q, 0).unwrap().id, 1); // then FIFO
+        assert_eq!(pop(&mut q, 0).unwrap().id, 2);
+        assert!(pop(&mut q, 0).is_none());
     }
 
     #[test]
     fn backoff_entries_wait_for_their_tick() {
         let mut q = JobQueue::new(8);
         q.push(entry(1, 1, 0, 10)).unwrap();
-        assert!(q.pop_ready(5).is_none());
-        assert_eq!(q.next_ready_at(), Some(10));
-        assert_eq!(q.pop_ready(10).unwrap().id, 1);
+        assert!(pop(&mut q, 5).is_none());
+        assert_eq!(q.next_ready_after(5), Some(10));
+        assert_eq!(q.next_ready_after(10), None);
+        assert_eq!(pop(&mut q, 10).unwrap().id, 1);
     }
 
     #[test]
@@ -193,7 +181,7 @@ mod tests {
         q.push(entry(2, 2, 0, 0)).unwrap();
         let err = q.push(entry(3, 3, 0, 0)).unwrap_err();
         assert_eq!(err.depth, 2);
-        q.pop_ready(0).unwrap();
+        pop(&mut q, 0).unwrap();
         q.push(entry(3, 4, 0, 0)).unwrap();
     }
 }

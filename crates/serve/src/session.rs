@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 /// Factory producing a fresh framework pre-loaded with the palette the
-/// server executes against.
+/// fleet executes against.
 pub type PaletteFn = Rc<dyn Fn() -> Framework>;
 
 /// Why a job stopped before reaching its natural end.
@@ -207,26 +207,14 @@ impl Session {
         }
     }
 
-    /// Execute one attempt of `job` on this slot.
+    /// Execute one attempt of `job` on this slot, with an optional
+    /// preemption slice armed (the dispatcher's path for long jobs).
     ///
     /// Returns the outcome, the number of macro steps the attempt
     /// executed (its deterministic virtual-time cost), and the patch-
-    /// executor counters of the framework the attempt ran on.
+    /// executor counters of the framework the attempt ran on. With
+    /// `preempt` armed the attempt may end in [`RunOutcome::Preempted`].
     pub fn execute(
-        &mut self,
-        job: &SimJob,
-        token: CancelToken,
-        inject_fault: bool,
-        palette: &PaletteFn,
-    ) -> (RunOutcome, u64, ExecutorStats) {
-        self.execute_sliced(job, token, inject_fault, palette, None)
-    }
-
-    /// Execute one attempt of `job` with an optional preemption slice
-    /// armed — the fleet's dispatch path for long jobs. Same contract as
-    /// [`Session::execute`], plus the attempt may end in
-    /// [`RunOutcome::Preempted`].
-    pub fn execute_sliced(
         &mut self,
         job: &SimJob,
         token: CancelToken,

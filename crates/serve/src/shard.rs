@@ -1,5 +1,6 @@
 //! One serve shard: a session pool, a bounded queue, a per-shard LRU
-//! result cache, and per-shard observability.
+//! result cache, and per-shard observability. A one-shard fleet is the
+//! plain job server.
 //!
 //! Shards are the unit of consistent-hash routing: every [`crate::job::JobKey`]
 //! has exactly one *home* shard, so duplicate coalescing and the result
@@ -20,11 +21,14 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::job::{JobId, JobKey, SimJob};
 use crate::queue::JobQueue;
 use crate::session::{CancelToken, PaletteFn, Session};
+use crate::stats::SessionStat;
 use cca_core::{ExecutorStats, Profiler};
 use std::collections::BTreeMap;
 
-/// A duplicate submission riding a queued primary on this shard (same
-/// promotion contract as the single-server follower).
+/// A duplicate submission riding a queued primary on this shard. It holds
+/// its own copy of the job so it can be *promoted* to primary — with its
+/// own fresh attempt budget — if the primary is lost to cancellation or
+/// failure (duplicates never share a failure).
 pub(crate) struct Follower {
     pub id: JobId,
     pub tenant: u32,
@@ -147,8 +151,8 @@ impl Shard {
 pub struct ShardStat {
     /// Shard index.
     pub id: usize,
-    /// Live session-pool size.
-    pub sessions: usize,
+    /// One row per live session slot (the pool size is its length).
+    pub sessions: Vec<SessionStat>,
     /// Elastic pool target.
     pub target_sessions: usize,
     /// Entries waiting in the shard queue.

@@ -1,10 +1,8 @@
-//! Server observability: one [`ServerStats`] snapshot carrying queue
-//! depth, outcome counters, wait/run distributions (p50/p95/p99 via the
-//! core profiler's sample reservoir), cache counters, and the aggregated
-//! patch-executor counters of every framework the server ran.
+//! Observability rows shared by [`crate::fleet::FleetStats`]: tick-valued
+//! latency distributions (p50/p95/p99 via the core profiler's sample
+//! reservoir) and per-slot session summaries.
 
-use crate::cache::CacheStats;
-use cca_core::{ExecutorStats, Profiler};
+use cca_core::Profiler;
 
 /// Distribution summary of a tick-valued quantity (queue wait, run cost).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -59,114 +57,6 @@ pub struct SessionStat {
     pub runs: u64,
     /// Virtual tick the slot next becomes free.
     pub free_at: u64,
-}
-
-/// One coherent snapshot of the server's state and history.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServerStats {
-    /// Current virtual time.
-    pub clock: u64,
-    /// Submissions accepted (queued, coalesced, or served from cache).
-    pub submitted: u64,
-    /// Jobs that ran to completion on a session.
-    pub completed: u64,
-    /// Submissions answered from the result cache (at submit or by
-    /// follower coalescing).
-    pub cached: u64,
-    /// Submissions coalesced onto an in-flight duplicate.
-    pub coalesced: u64,
-    /// Submissions refused because the queue was full.
-    pub rejected_full: u64,
-    /// Submissions refused by the static admission check.
-    pub rejected_admission: u64,
-    /// Admission warnings observed on accepted jobs.
-    pub admission_warnings: u64,
-    /// Attempts re-queued after a transient (panic) failure.
-    pub retries: u64,
-    /// Sessions poisoned (and rebuilt) by panicking jobs.
-    pub poisonings: u64,
-    /// Jobs that ended in a terminal failure.
-    pub failed: u64,
-    /// Jobs cancelled by their step-budget deadline.
-    pub cancelled_deadline: u64,
-    /// Jobs cancelled by their client.
-    pub cancelled_user: u64,
-    /// Entries currently waiting in the queue.
-    pub queue_depth: u64,
-    /// Result-cache counters.
-    pub cache: CacheStats,
-    /// Queue-wait distribution, ticks.
-    pub queue_wait: LatencyStat,
-    /// Run-cost distribution, ticks.
-    pub run_ticks: LatencyStat,
-    /// Patch-executor counters aggregated over every framework run.
-    pub executor: ExecutorStats,
-    /// Per-slot session summaries.
-    pub sessions: Vec<SessionStat>,
-}
-
-impl ServerStats {
-    /// Human-readable rendering for CLI front-ends.
-    pub fn render(&self) -> String {
-        let mut out = String::from("=== cca-serve stats ===\n");
-        out.push_str(&format!(
-            "clock {} ticks | submitted {} | completed {} | cached {} (coalesced {})\n",
-            self.clock, self.submitted, self.completed, self.cached, self.coalesced
-        ));
-        out.push_str(&format!(
-            "rejected: {} full, {} admission ({} warnings on accepted jobs)\n",
-            self.rejected_full, self.rejected_admission, self.admission_warnings
-        ));
-        out.push_str(&format!(
-            "retries {} | poisonings {} | failed {} | cancelled: {} deadline, {} user\n",
-            self.retries,
-            self.poisonings,
-            self.failed,
-            self.cancelled_deadline,
-            self.cancelled_user
-        ));
-        out.push_str(&format!(
-            "queue depth {} | cache {}/{} (hits {}, misses {}, evictions {})\n",
-            self.queue_depth,
-            self.cache.len,
-            self.cache.capacity,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.evictions
-        ));
-        out.push_str(&format!(
-            "queue wait [ticks]: n={} mean={:.2} p50={:.0} p95={:.0} p99={:.0} max={:.0}\n",
-            self.queue_wait.count,
-            self.queue_wait.mean,
-            self.queue_wait.p50,
-            self.queue_wait.p95,
-            self.queue_wait.p99,
-            self.queue_wait.max
-        ));
-        out.push_str(&format!(
-            "run cost  [ticks]: n={} mean={:.2} p50={:.0} p95={:.0} p99={:.0} max={:.0}\n",
-            self.run_ticks.count,
-            self.run_ticks.mean,
-            self.run_ticks.p50,
-            self.run_ticks.p95,
-            self.run_ticks.p99,
-            self.run_ticks.max
-        ));
-        out.push_str(&format!(
-            "patch executor: workers {} runs {} items {} poisonings {}\n",
-            self.executor.workers,
-            self.executor.runs,
-            self.executor.items,
-            self.executor.poisonings
-        ));
-        for s in &self.sessions {
-            out.push_str(&format!(
-                "session {}: epoch {} runs {} free_at {}\n",
-                s.id, s.epoch, s.runs, s.free_at
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! `cca_serve` — batch front-end for the simulation job server.
 //!
-//! Feeds a request stream to [`cca_serve::Server`] and prints one outcome
-//! line per request plus the server statistics table. Three modes:
+//! Feeds a request stream to a one-shard [`cca_serve::Fleet`] and prints
+//! one outcome line per request plus the fleet statistics table. Modes:
 //!
 //! ```text
 //! cargo run --example cca_serve -- --demo          # built-in showcase stream
@@ -21,8 +21,8 @@
 //! so repeated invocations print byte-identical output.
 
 use cca_serve::{
-    run_fleet_loadgen, run_loadgen, FleetLoadgenConfig, IgnitionSpec, JobOutcome, LoadgenConfig,
-    RdSpec, Server, ServerConfig, SimJob, SubmitError,
+    run_fleet_loadgen, run_loadgen, Fleet, FleetConfig, FleetLoadgenConfig, IgnitionSpec,
+    JobOutcome, LoadgenConfig, RdSpec, SimJob, SubmitError,
 };
 use std::process::ExitCode;
 
@@ -104,9 +104,12 @@ fn demo_requests() -> Vec<String> {
     .collect()
 }
 
-/// Submit every request, drain the server, print outcome lines + stats.
+/// Submit every request, drain the fleet, print outcome lines + stats.
 fn serve(requests: &[String]) -> ExitCode {
-    let mut server = Server::new(ServerConfig::default());
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 1,
+        ..FleetConfig::default()
+    });
     let mut accepted = Vec::new();
     for (lineno, raw) in requests.iter().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -120,7 +123,7 @@ fn serve(requests: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match server.submit(job) {
+        match fleet.submit(job) {
             Ok(id) => accepted.push((id, line.to_string())),
             Err(e @ SubmitError::QueueFull { .. }) => {
                 println!("request {:>3} rejected: {e}", lineno + 1);
@@ -134,10 +137,10 @@ fn serve(requests: &[String]) -> ExitCode {
             }
         }
     }
-    server.run_until_idle();
+    fleet.run_until_idle();
 
     for (id, line) in &accepted {
-        let Some(outcome) = server.outcome(*id) else {
+        let Some(outcome) = fleet.outcome(*id) else {
             println!("job {id:>3} LOST ({line}) -- this is a bug");
             continue;
         };
@@ -168,7 +171,7 @@ fn serve(requests: &[String]) -> ExitCode {
         println!("job {id:>3} {:<18} {detail}  [{line}]", outcome.tag());
     }
     println!();
-    print!("{}", server.stats().render());
+    print!("{}", fleet.stats().render());
     ExitCode::SUCCESS
 }
 

@@ -7,7 +7,7 @@
 use cca_analyze::commplan::OpKind;
 use cca_apps::scaling::ScalingConfig;
 use cca_apps::schedule::comm_plan;
-use cca_serve::{DistributedSpec, IgnitionSpec, Server, ServerConfig, SubmitError};
+use cca_serve::{DistributedSpec, Fleet, FleetConfig, IgnitionSpec, SubmitError};
 
 fn scaling_cfg() -> ScalingConfig {
     ScalingConfig {
@@ -22,21 +22,27 @@ fn scaling_cfg() -> ScalingConfig {
 
 #[test]
 fn clean_distributed_job_is_admitted() {
-    let mut server = Server::new(ServerConfig::default());
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 1,
+        ..FleetConfig::default()
+    });
     let mut job = IgnitionSpec::default().job();
     job.distributed = Some(DistributedSpec {
         config: scaling_cfg(),
         plan: None, // derived from the config by the schedule emitter
     });
-    let id = server.submit(job).expect("derived plans verify clean");
-    server.run_until_idle();
-    assert!(server.outcome(id).is_some(), "admitted job must resolve");
-    assert_eq!(server.stats().rejected_admission, 0);
+    let id = fleet.submit(job).expect("derived plans verify clean");
+    fleet.run_until_idle();
+    assert!(fleet.outcome(id).is_some(), "admitted job must resolve");
+    assert_eq!(fleet.stats().rejected_admission, 0);
 }
 
 #[test]
 fn broken_plan_is_rejected_with_c_code_diagnostics() {
-    let mut server = Server::new(ServerConfig::default());
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 1,
+        ..FleetConfig::default()
+    });
 
     // Start from the real emitted schedule, then drop rank 2's first
     // posted receive — the classic hand-edited-exchange mistake.
@@ -54,7 +60,7 @@ fn broken_plan_is_rejected_with_c_code_diagnostics() {
         plan: Some(plan),
     });
 
-    let err = server
+    let err = fleet
         .submit(job)
         .expect_err("mismatched plan must be refused");
     let SubmitError::Admission { report } = err else {
@@ -62,9 +68,9 @@ fn broken_plan_is_rejected_with_c_code_diagnostics() {
     };
     assert!(report.contains("error[C001]"), "{report}");
     assert!(report.contains("comm-plan"), "{report}");
-    assert_eq!(server.stats().rejected_admission, 1);
+    assert_eq!(fleet.stats().rejected_admission, 1);
     assert_eq!(
-        server.stats().submitted,
+        fleet.stats().submitted,
         0,
         "a rejected job must never be counted as submitted"
     );

@@ -3,7 +3,7 @@
 //! transcript digest, and the checkpoint byte stream — including after
 //! the serving session has been poisoned and rebuilt in between.
 
-use cca_serve::{Artifacts, FaultSpec, IgnitionSpec, JobOutcome, RdSpec, Server, ServerConfig};
+use cca_serve::{Artifacts, FaultSpec, Fleet, FleetConfig, IgnitionSpec, JobOutcome, RdSpec};
 use std::rc::Rc;
 
 /// Norms as (name, raw f64 bits) — the strictest possible comparison.
@@ -16,9 +16,10 @@ fn norm_bits(a: &Artifacts) -> Vec<(String, u64)> {
 
 #[test]
 fn cache_hit_is_bit_identical_even_after_a_poisoned_session() {
-    let mut server = Server::new(ServerConfig {
-        sessions: 1,
-        ..ServerConfig::default()
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 1,
+        sessions_per_shard: 1,
+        ..FleetConfig::default()
     });
 
     // Cold run of a reaction-diffusion job with a checkpoint artifact.
@@ -30,9 +31,9 @@ fn cache_hit_is_bit_identical_even_after_a_poisoned_session() {
     .job();
     job.want_checkpoint = true;
 
-    let cold_id = server.submit(job.clone()).expect("admission-clean job");
-    server.run_until_idle();
-    let cold = match server.outcome(cold_id).expect("cold run must resolve") {
+    let cold_id = fleet.submit(job.clone()).expect("admission-clean job");
+    fleet.run_until_idle();
+    let cold = match fleet.outcome(cold_id).expect("cold run must resolve") {
         JobOutcome::Completed { artifacts, .. } => artifacts.clone(),
         other => panic!("expected completion, got {}", other.tag()),
     };
@@ -53,23 +54,23 @@ fn cache_hit_is_bit_identical_even_after_a_poisoned_session() {
         panic_at_step: 1,
         ..FaultSpec::default()
     };
-    let bomb_id = server.submit(bomb).expect("fault job is admission-clean");
-    server.run_until_idle();
+    let bomb_id = fleet.submit(bomb).expect("fault job is admission-clean");
+    fleet.run_until_idle();
     assert!(
-        matches!(server.outcome(bomb_id), Some(JobOutcome::Failed { .. })),
+        matches!(fleet.outcome(bomb_id), Some(JobOutcome::Failed { .. })),
         "the bomb must fail terminally"
     );
-    let s = server.stats();
+    let s = fleet.stats();
     assert!(s.poisonings >= 1, "the bomb must poison the session");
     assert_eq!(
-        s.sessions[0].epoch, s.poisonings,
+        s.shards[0].sessions[0].epoch, s.poisonings,
         "each poisoning rebuilds the slot"
     );
 
     // Resubmit the original job: answered from the cache, bit-identical,
     // untouched by the poisoning in between.
-    let warm_id = server.submit(job.clone()).expect("resubmission accepted");
-    let warm = match server
+    let warm_id = fleet.submit(job.clone()).expect("resubmission accepted");
+    let warm = match fleet
         .outcome(warm_id)
         .expect("cache hit resolves at submit")
     {
@@ -81,9 +82,12 @@ fn cache_hit_is_bit_identical_even_after_a_poisoned_session() {
     assert_eq!(warm.checkpoint, cold.checkpoint);
     assert_eq!(warm.steps, cold.steps);
 
-    // A fresh server recomputing from scratch reproduces the exact same
+    // A fresh fleet recomputing from scratch reproduces the exact same
     // bits — the cache returns precisely what a cold run would.
-    let mut fresh = Server::new(ServerConfig::default());
+    let mut fresh = Fleet::new(FleetConfig {
+        shards: 1,
+        ..FleetConfig::default()
+    });
     let fresh_id = fresh.submit(job).expect("admission-clean job");
     fresh.run_until_idle();
     match fresh.outcome(fresh_id).expect("fresh run must resolve") {
@@ -98,27 +102,28 @@ fn cache_hit_is_bit_identical_even_after_a_poisoned_session() {
 
 #[test]
 fn coalesced_duplicates_share_the_primary_result() {
-    let mut server = Server::new(ServerConfig {
-        sessions: 1,
-        ..ServerConfig::default()
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 1,
+        sessions_per_shard: 1,
+        ..FleetConfig::default()
     });
     let job = IgnitionSpec {
         t0: 1050.0,
         ..IgnitionSpec::default()
     }
     .job();
-    let primary = server.submit(job.clone()).expect("primary accepted");
-    let follower = server.submit(job).expect("duplicate coalesces");
-    assert_eq!(server.stats().coalesced, 1);
-    server.run_until_idle();
+    let primary = fleet.submit(job.clone()).expect("primary accepted");
+    let follower = fleet.submit(job).expect("duplicate coalesces");
+    assert_eq!(fleet.stats().coalesced, 1);
+    fleet.run_until_idle();
 
     let JobOutcome::Completed { artifacts: pa, .. } =
-        server.outcome(primary).expect("primary resolves")
+        fleet.outcome(primary).expect("primary resolves")
     else {
         panic!("primary must complete")
     };
     let JobOutcome::Cached { artifacts: fa, .. } =
-        server.outcome(follower).expect("follower resolves")
+        fleet.outcome(follower).expect("follower resolves")
     else {
         panic!("follower must be answered from the cache")
     };

@@ -1,13 +1,12 @@
 //! Tier-2 pin of the serving subsystem's acceptance criteria (PR 3).
 //!
-//! The load generator is a pure function of its seed and the server runs
+//! The load generator is a pure function of its seed and the fleet runs
 //! on a virtual clock, so every number here is deterministic — the same
 //! counts `cca-bench serve` freezes into `BENCH_PR3.json`.
 
 use cca_serve::{
     run_fleet_loadgen, run_loadgen, CancelReason, Fleet, FleetConfig, FleetLoadgenConfig,
-    IgnitionSpec, JobOutcome, LoadgenConfig, Override, QosClass, RdSpec, Server, ServerConfig,
-    SubmitError, TenantSpec,
+    IgnitionSpec, JobOutcome, LoadgenConfig, Override, QosClass, RdSpec, SubmitError, TenantSpec,
 };
 
 #[test]
@@ -48,12 +47,12 @@ fn loadgen_meets_the_pr_acceptance_criteria() {
     // Panic isolation: a panic poisons exactly one session, which is
     // rebuilt (epoch bump). Total epoch bumps == total poisonings, and the
     // pool kept serving afterwards.
-    let epoch_sum: u64 = s.sessions.iter().map(|x| x.epoch).sum();
+    let epoch_sum: u64 = s.shards[0].sessions.iter().map(|x| x.epoch).sum();
     assert_eq!(
         epoch_sum, s.poisonings,
         "each poisoning must rebuild exactly one session"
     );
-    assert!(s.sessions.iter().all(|x| x.runs > 0));
+    assert!(s.shards[0].sessions.iter().all(|x| x.runs > 0));
 
     // The exact deterministic scenario, pinned. If a scheduling or
     // workload change shifts these, BENCH_PR3.json must be regenerated in
@@ -67,7 +66,9 @@ fn loadgen_meets_the_pr_acceptance_criteria() {
     assert_eq!(s.retries, 7);
     assert_eq!(s.poisonings, 8);
     assert_eq!(s.coalesced, 9);
-    assert_eq!(report.total_ticks, 148);
+    assert_eq!(report.total_ticks, 147);
+    assert_eq!((s.queue_wait.p99, s.queue_wait.max), (24.0, 25.0));
+    assert_eq!((s.run_ticks.p99, s.run_ticks.max), (7.0, 7.0));
 }
 
 #[test]
@@ -200,7 +201,10 @@ fn step_budget_deadline_is_enforced_exactly() {
     // Budget B against a longer run: the job executes exactly B macro
     // steps and resolves Cancelled{Deadline{B}} — no wall clocks involved.
     for budget in [1u64, 2, 4] {
-        let mut server = Server::new(ServerConfig::default());
+        let mut fleet = Fleet::new(FleetConfig {
+            shards: 1,
+            ..FleetConfig::default()
+        });
         let mut job = RdSpec {
             nx: 8,
             n_steps: 6,
@@ -208,9 +212,9 @@ fn step_budget_deadline_is_enforced_exactly() {
         }
         .job();
         job.step_budget = Some(budget);
-        let id = server.submit(job).expect("admission-clean job");
-        server.run_until_idle();
-        match server.outcome(id).expect("job must resolve") {
+        let id = fleet.submit(job).expect("admission-clean job");
+        fleet.run_until_idle();
+        match fleet.outcome(id).expect("job must resolve") {
             JobOutcome::Cancelled { reason, steps, .. } => {
                 assert_eq!(*reason, CancelReason::Deadline { budget });
                 assert_eq!(
@@ -228,37 +232,43 @@ fn admission_rejects_doomed_jobs_before_any_session_time() {
     // An override targeting an unknown instance makes the vetted script
     // (assembly + synthetic `parameter` lines) fail the static admission
     // check — the job is refused without ever occupying a session.
-    let mut server = Server::new(ServerConfig::default());
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 1,
+        ..FleetConfig::default()
+    });
     let mut job = IgnitionSpec::default().job();
     job.overrides.push(Override::new("ghost", "T0", 1.0));
-    match server.submit(job) {
+    match fleet.submit(job) {
         Err(SubmitError::Admission { report }) => {
             assert!(report.contains("ghost"), "report must name the culprit")
         }
         other => panic!("expected admission rejection, got {other:?}"),
     }
-    let s = server.stats();
+    let s = fleet.stats();
     assert_eq!(s.rejected_admission, 1);
     assert_eq!(s.submitted, 0);
-    assert!(s.sessions.iter().all(|x| x.runs == 0));
+    assert!(s.shards[0].sessions.iter().all(|x| x.runs == 0));
 }
 
 #[test]
 fn queued_jobs_cancel_without_spending_a_session() {
-    let mut server = Server::new(ServerConfig::default());
-    let id = server
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 1,
+        ..FleetConfig::default()
+    });
+    let id = fleet
         .submit(RdSpec::default().job())
         .expect("admission-clean job");
-    assert!(server.cancel(id));
-    server.run_until_idle();
-    match server.outcome(id).expect("cancelled job must resolve") {
+    assert!(fleet.cancel(id));
+    fleet.run_until_idle();
+    match fleet.outcome(id).expect("cancelled job must resolve") {
         JobOutcome::Cancelled { reason, steps, .. } => {
             assert_eq!(*reason, CancelReason::User);
             assert_eq!(*steps, 0, "no session time may be spent");
         }
         other => panic!("expected user cancellation, got {}", other.tag()),
     }
-    let s = server.stats();
+    let s = fleet.stats();
     assert_eq!(s.completed, 0);
-    assert!(s.sessions.iter().all(|x| x.runs == 0));
+    assert!(s.shards[0].sessions.iter().all(|x| x.runs == 0));
 }

@@ -24,6 +24,9 @@ cargo build --examples
 echo "== cargo test (every workspace crate)"
 cargo test --workspace -q
 
+echo "== perfbench self-tests (builds the measured benchmark against the workspace)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== determinism lint (no hash-ordered iteration in hot paths)"
 ./scripts/lint_determinism.sh
 

@@ -25,7 +25,7 @@
 //! cca-bench scaling-check [PATH]  # validate an existing BENCH_PR5.json
 //! cca-bench samr [PATH]           # run the distributed-SAMR P sweep, write BENCH_PR7.json
 //! cca-bench samr-check [PATH]     # validate an existing BENCH_PR7.json
-//! cca-bench kernels [PATH]        # run the kernel layout/tiling sweep, write BENCH_PR9.json
+//! cca-bench kernels [PATH]        # run the diffusion and flux kernels, write BENCH_PR9.json
 //! cca-bench kernels-check [PATH]  # validate an existing BENCH_PR9.json
 //! cca-bench fleet [PATH]          # run the serve-fleet shard sweep, write BENCH_PR10.json
 //! cca-bench fleet-check [PATH]    # validate an existing BENCH_PR10.json
@@ -39,12 +39,9 @@
 //! deadline-admission scenario (provably-late jobs rejected or
 //! downgraded, zero lost jobs everywhere).
 //!
-//! The `kernels` pair freezes the PR-9 layout/tiling contract: the
-//! diffusion RHS and Godunov flux kernels run for real at every pitch ×
-//! tile × fast-div configuration (zero checksum drift on bit-identity
-//! configurations, tolerance-gated fast-div), and a deterministic machine
-//! model (`model` module: row-LRU cache replay + roofline cycles) freezes
-//! per-kernel cells/second and the tiled-vs-dense-untiled speedups.
+//! The `kernels` pair freezes the diffusion RHS and Godunov flux
+//! kernels: one real run of each on a 96×96 patch, pinned by its
+//! interior checksum.
 //!
 //! The `serve` pair freezes the PR-3 serving-subsystem loadgen (200 jobs,
 //! 25% duplicates, fault and deadline injection) through a one-shard
@@ -75,8 +72,6 @@
 //! `./ci.sh` runs all of it when `CI_BENCH=1` and compares the fresh
 //! output against the committed baselines.
 
-mod model;
-
 use cca_apps::recover::run_samr_recovering;
 use cca_apps::samr::{run_samr, SamrConfig};
 use cca_apps::scaling::{run_scaling, ScalingConfig};
@@ -90,11 +85,11 @@ use cca_components::ports::{
 };
 use cca_core::{scratch, ParameterPort};
 use cca_hydro_solver::limiter::Limiter;
-use cca_hydro_solver::muscl::compute_rhs_cfg;
+use cca_hydro_solver::muscl::compute_rhs;
 use cca_hydro_solver::riemann::GodunovFlux;
 use cca_hydro_solver::state::{prim_to_cons, Prim, NVARS};
 use cca_mesh::ghost::{fill_coarse_fine_ghosts, fill_same_level_ghosts};
-use cca_mesh::{DataObject, Hierarchy, IntBox, KernelConfig, PatchData};
+use cca_mesh::{DataObject, Hierarchy, IntBox, PatchData};
 use cca_solvers::{Bdf, BdfConfig, Rkc, RkcConfig};
 use std::process::ExitCode;
 use std::rc::Rc;
@@ -113,7 +108,7 @@ const SAMR_SCHEMA: &str = "cca-bench-samr-v1";
 const CKPT_PATH: &str = "BENCH_PR8.json";
 const CKPT_SCHEMA: &str = "cca-bench-ckpt-v1";
 const KERNELS_PATH: &str = "BENCH_PR9.json";
-const KERNELS_SCHEMA: &str = "cca-bench-kernels-v1";
+const KERNELS_SCHEMA: &str = "cca-bench-kernels-v2";
 const FLEET_PATH: &str = "BENCH_PR10.json";
 const FLEET_SCHEMA: &str = "cca-bench-fleet-v1";
 
@@ -1241,97 +1236,19 @@ fn validate(text: &str) -> Vec<String> {
     errs
 }
 
-/// Interior edge of the kernel-bench patch: big enough that an untiled
-/// sweep's working set spills the modeled cache while one band fits.
+/// Interior edge of the kernel-bench patch.
 const KERNEL_N: i64 = 96;
 /// Species of the full H2-air mechanism the flame app sweeps.
 const KERNEL_NSPEC: usize = 9;
-/// Per-cell relative tolerance for reassociated (fast-div) kernels.
-const KERNELS_REL_TOL: f64 = 1e-12;
+/// The frozen interior checksums of the diffusion RHS and the Godunov
+/// flux sweep on the kernel-bench patches.
+const DIFFUSION_CHECKSUM: f64 = -3.0684544281154078e4;
+const FLUX_CHECKSUM: f64 = -1.331699968708538e2;
 
-/// One layout/tiling configuration of a kernel sweep.
-struct KernelVariant {
-    name: &'static str,
-    quantum: usize,
-    tile_rows: usize,
-    fast_div: bool,
-}
-
-/// The diffusion sweep: dense-untiled is the baseline the acceptance
-/// speedup is measured against; `padded_tiled` is the headline config.
-const DIFF_VARIANTS: &[KernelVariant] = &[
-    KernelVariant {
-        name: "dense_untiled",
-        quantum: 1,
-        tile_rows: 0,
-        fast_div: false,
-    },
-    KernelVariant {
-        name: "padded_untiled",
-        quantum: 8,
-        tile_rows: 0,
-        fast_div: false,
-    },
-    KernelVariant {
-        name: "padded_tiled",
-        quantum: 8,
-        tile_rows: 16,
-        fast_div: false,
-    },
-    KernelVariant {
-        name: "wide_pitch_tiled",
-        quantum: 16,
-        tile_rows: 16,
-        fast_div: false,
-    },
-    KernelVariant {
-        name: "padded_tiled_fastdiv",
-        quantum: 8,
-        tile_rows: 16,
-        fast_div: true,
-    },
-];
-
-/// The flux sweep: five conserved variables over four ghost rows makes
-/// the per-band footprint bigger, so the tile is shallower.
-const FLUX_VARIANTS: &[KernelVariant] = &[
-    KernelVariant {
-        name: "dense_untiled",
-        quantum: 1,
-        tile_rows: 0,
-        fast_div: false,
-    },
-    KernelVariant {
-        name: "padded_untiled",
-        quantum: 8,
-        tile_rows: 0,
-        fast_div: false,
-    },
-    KernelVariant {
-        name: "padded_tiled",
-        quantum: 8,
-        tile_rows: 8,
-        fast_div: false,
-    },
-    KernelVariant {
-        name: "wide_pitch_tiled",
-        quantum: 16,
-        tile_rows: 8,
-        fast_div: false,
-    },
-    KernelVariant {
-        name: "padded_tiled_fastdiv",
-        quantum: 8,
-        tile_rows: 8,
-        fast_div: true,
-    },
-];
-
-/// The flame-app state patch ({T, Y1..Y8}, one ghost ring) at the given
-/// pitch quantum. Polynomial hot spot: libm-free, host-stable bytes.
-fn kernel_diffusion_state(quantum: usize) -> PatchData {
-    let mut pd =
-        PatchData::with_pitch_quantum(IntBox::sized(KERNEL_N, KERNEL_N), KERNEL_NSPEC, 1, quantum);
+/// The flame-app state patch ({T, Y1..Y8}, one ghost ring). Polynomial
+/// hot spot: libm-free, host-stable bytes.
+fn kernel_diffusion_state() -> PatchData {
+    let mut pd = PatchData::new(IntBox::sized(KERNEL_N, KERNEL_N), KERNEL_NSPEC, 1);
     for (i, j) in pd.total_box().cells() {
         let x = (i as f64 + 0.5) / KERNEL_N as f64;
         let y = (j as f64 + 0.5) / KERNEL_N as f64;
@@ -1349,9 +1266,8 @@ fn kernel_diffusion_state(quantum: usize) -> PatchData {
 /// The shock-app conserved-state patch (two ghost rings). Modular
 /// pseudo-noise plus a pressure front keeps every limiter branch live
 /// without touching libm.
-fn kernel_flux_state(quantum: usize) -> PatchData {
-    let mut pd =
-        PatchData::with_pitch_quantum(IntBox::sized(KERNEL_N, KERNEL_N), NVARS, 2, quantum);
+fn kernel_flux_state() -> PatchData {
+    let mut pd = PatchData::new(IntBox::sized(KERNEL_N, KERNEL_N), NVARS, 2);
     for (i, j) in pd.total_box().cells() {
         let a = (i * 37 + j * 23).rem_euclid(17) as f64 / 17.0;
         let b = (i * 13 + j * 7).rem_euclid(29) as f64 / 29.0;
@@ -1397,192 +1313,39 @@ fn patch_checksum(pd: &PatchData) -> f64 {
     (0..pd.nvars).map(|v| pd.interior_sum(v)).sum()
 }
 
-/// Largest per-cell relative deviation between two RHS patches.
-fn patch_max_rel_err(a: &PatchData, b: &PatchData) -> f64 {
-    let mut worst = 0.0f64;
-    for (i, j) in a.interior.cells() {
-        for var in 0..a.nvars {
-            let (x, y) = (a.get(var, i, j), b.get(var, i, j));
-            worst = worst.max((x - y).abs() / x.abs().max(1.0));
-        }
-    }
-    worst
-}
-
-/// One JSON line of a kernel sweep: the layout knobs, the machine-model
-/// numbers, and (for the real-kernel runs) the drift/tolerance probe.
-#[allow(clippy::too_many_arguments)]
-fn kernel_entry_json(
-    v: &KernelVariant,
-    cost: &model::KernelCost,
-    checksum: Option<f64>,
-    drift: Option<u64>,
-    rel: Option<f64>,
-    last: bool,
-) -> String {
-    let mut s = format!(
-        "    {{\"config\": \"{}\", \"pitch_quantum\": {}, \"tile_rows\": {}, \
-         \"fast_div\": {}, \"modeled_cycles\": {}, \"lines_missed\": {}, \
-         \"cells_per_sec\": {:e}",
-        v.name,
-        v.quantum,
-        v.tile_rows,
-        v.fast_div,
-        cost.cycles(),
-        cost.lines_missed,
-        cost.cells_per_sec(),
-    );
-    if let Some(c) = checksum {
-        s.push_str(&format!(", \"checksum\": {c:e}"));
-    }
-    if let Some(d) = drift {
-        s.push_str(&format!(", \"checksum_drift\": {d}"));
-    }
-    if let Some(r) = rel {
-        s.push_str(&format!(", \"max_rel_err\": {r:e}"));
-    }
-    s.push('}');
-    if !last {
-        s.push(',');
-    }
-    s.push('\n');
-    s
-}
-
-/// PR-9 kernel-throughput suite, frozen as JSON. Each kernel is run for
-/// real at every layout/tiling configuration (checksums pin the
-/// bit-identity contract; the fast-div run is tolerance-gated) and
-/// replayed through the `model` machine model for cycles and
-/// cells/second. The load-bearing numbers are the zero in every
-/// `checksum_drift`, the `max_rel_err` under `rel_tolerance`, and the
-/// two speedup ratios over their acceptance floors.
+/// Kernel suite, frozen as JSON: one real run of each kernel on its
+/// bench patch, pinned by its interior checksum.
 fn kernels_json() -> String {
     let (chem, transport) = kernel_props();
-    let n = KERNEL_N as usize;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{KERNELS_SCHEMA}\",\n"));
-    out.push_str("  \"deterministic\": true,\n");
-    out.push_str(&format!(
-        "  \"machine_model\": {{\"clock_hz\": {:e}, \"simd_width\": {}, \
-         \"line_doubles\": {}, \"miss_cycles\": {}, \"cache_doubles\": {}}},\n",
-        model::CLOCK_HZ,
-        model::SIMD_WIDTH,
-        model::LINE_DOUBLES,
-        model::MISS_CYCLES,
-        model::CACHE_DOUBLES,
-    ));
-    out.push_str(&format!("  \"rel_tolerance\": {KERNELS_REL_TOL:e},\n"));
+    let state = kernel_diffusion_state();
+    let mut rhs = PatchData::new(state.interior, KERNEL_NSPEC, 0);
+    let d = 1.0 / KERNEL_N as f64;
+    diffusion_rhs_with_kernels(&chem, &transport, &state, &mut rhs, d, d);
+    let diffusion = patch_checksum(&rhs);
 
-    // Diffusion RHS: real run per variant + modeled cost.
-    out.push_str("  \"diffusion_rhs\": [\n");
-    let mut diff_base: Option<PatchData> = None;
-    for (k, v) in DIFF_VARIANTS.iter().enumerate() {
-        let state = kernel_diffusion_state(v.quantum);
-        let mut rhs = PatchData::new(state.interior, KERNEL_NSPEC, 0);
-        let cfg = KernelConfig {
-            tile_rows: v.tile_rows,
-            fast_div: v.fast_div,
-        };
-        let d = 1.0 / KERNEL_N as f64;
-        diffusion_rhs_with_kernels(&chem, &transport, &state, &mut rhs, d, d, cfg);
-        let cost = model::diffusion_cost(n, n, KERNEL_NSPEC, v.quantum, v.tile_rows, v.fast_div);
-        let checksum = patch_checksum(&rhs);
-        let base = diff_base.get_or_insert_with(|| rhs.clone());
-        let (drift, rel) = if v.fast_div {
-            (None, Some(patch_max_rel_err(base, &rhs)))
-        } else {
-            (
-                Some(u64::from(
-                    checksum.to_bits() != patch_checksum(base).to_bits(),
-                )),
-                None,
-            )
-        };
-        out.push_str(&kernel_entry_json(
-            v,
-            &cost,
-            Some(checksum),
-            drift,
-            rel,
-            k + 1 == DIFF_VARIANTS.len(),
-        ));
-    }
-    out.push_str("  ],\n");
+    let state = kernel_flux_state();
+    let mut rhs = PatchData::new(state.interior, NVARS, 0);
+    compute_rhs(
+        &state,
+        &mut rhs,
+        0.05,
+        0.08,
+        1.4,
+        &GodunovFlux,
+        Limiter::MinMod,
+    );
+    let flux = patch_checksum(&rhs);
 
-    // Godunov flux sweep: same shape of sweep over the MUSCL kernel.
-    out.push_str("  \"godunov_flux\": [\n");
-    let mut flux_base: Option<PatchData> = None;
-    for (k, v) in FLUX_VARIANTS.iter().enumerate() {
-        let state = kernel_flux_state(v.quantum);
-        let mut rhs = PatchData::new(state.interior, NVARS, 0);
-        let cfg = KernelConfig {
-            tile_rows: v.tile_rows,
-            fast_div: v.fast_div,
-        };
-        compute_rhs_cfg(
-            &state,
-            &mut rhs,
-            0.05,
-            0.08,
-            1.4,
-            &GodunovFlux,
-            Limiter::MinMod,
-            cfg,
-        );
-        let cost = model::flux_cost(n, n, NVARS, v.quantum, v.tile_rows, v.fast_div);
-        let checksum = patch_checksum(&rhs);
-        let base = flux_base.get_or_insert_with(|| rhs.clone());
-        let (drift, rel) = if v.fast_div {
-            (None, Some(patch_max_rel_err(base, &rhs)))
-        } else {
-            (
-                Some(u64::from(
-                    checksum.to_bits() != patch_checksum(base).to_bits(),
-                )),
-                None,
-            )
-        };
-        out.push_str(&kernel_entry_json(
-            v,
-            &cost,
-            Some(checksum),
-            drift,
-            rel,
-            k + 1 == FLUX_VARIANTS.len(),
-        ));
-    }
-    out.push_str("  ],\n");
-
-    // SAMR Laplacian: a streaming kernel tiling cannot help — recorded
-    // so the layout-only (pitch alignment) effect is visible per app.
-    out.push_str("  \"samr_laplacian\": [\n");
-    for (k, v) in DIFF_VARIANTS[..2].iter().enumerate() {
-        let cost = model::laplacian_cost(126, 126, 2, v.quantum);
-        out.push_str(&kernel_entry_json(v, &cost, None, None, None, k == 1));
-    }
-    out.push_str("  ],\n");
-
-    // The acceptance ratios, measured against the dense-untiled baseline
-    // recorded in the same run.
-    let d_base = model::diffusion_cost(n, n, KERNEL_NSPEC, 1, 0, false);
-    let d_tile = model::diffusion_cost(n, n, KERNEL_NSPEC, 8, 16, false);
-    let f_base = model::flux_cost(n, n, NVARS, 1, 0, false);
-    let f_tile = model::flux_cost(n, n, NVARS, 8, 8, false);
-    out.push_str(&format!(
-        "  \"diffusion_speedup\": {:e},\n  \"diffusion_speedup_floor\": 1.5e0,\n",
-        d_tile.cells_per_sec() / d_base.cells_per_sec()
-    ));
-    out.push_str(&format!(
-        "  \"flux_speedup\": {:e},\n  \"flux_speedup_floor\": 1.3e0\n}}\n",
-        f_tile.cells_per_sec() / f_base.cells_per_sec()
-    ));
-    out
+    format!(
+        "{{\n  \"schema\": \"{KERNELS_SCHEMA}\",\n  \"deterministic\": true,\n  \
+         \"patch\": {{\"nx\": {KERNEL_N}, \"ny\": {KERNEL_N}}},\n  \
+         \"diffusion_rhs\": {{\"nvars\": {KERNEL_NSPEC}, \"checksum\": {diffusion:e}}},\n  \
+         \"godunov_flux\": {{\"nvars\": {NVARS}, \"checksum\": {flux:e}}}\n}}\n"
+    )
 }
 
-/// Structural + invariant validation of a kernels file: zero checksum
-/// drift on every bit-identity configuration, reassociated runs inside
-/// the relative tolerance, and both modeled speedups over their floors.
+/// Validation of a kernels file: both kernel checksums parse and equal
+/// the frozen bits.
 fn validate_kernels(text: &str) -> Vec<String> {
     let mut errs = Vec::new();
     if !text.contains(&format!("\"schema\": \"{KERNELS_SCHEMA}\"")) {
@@ -1590,66 +1353,19 @@ fn validate_kernels(text: &str) -> Vec<String> {
             "missing or wrong schema tag (want {KERNELS_SCHEMA})"
         ));
     }
-    for (open, close, what) in [('{', '}', "braces"), ('[', ']', "brackets")] {
-        let a = text.matches(open).count();
-        let b = text.matches(close).count();
-        if a != b || a == 0 {
-            errs.push(format!("unbalanced {what}: {a} '{open}' vs {b} '{close}'"));
-        }
+    let sums = numbers_after(text, "checksum");
+    if sums.len() != 2 {
+        errs.push(format!("want 2 kernel checksums, found {}", sums.len()));
     }
-    let drifts = numbers_after(text, "checksum_drift");
-    if drifts.len() != 8 {
-        errs.push(format!(
-            "want 8 bit-identity configurations, found {}",
-            drifts.len()
-        ));
-    }
-    for (i, v) in drifts.iter().enumerate() {
-        if *v != 0.0 {
-            errs.push(format!(
-                "bit-identity config {i} drifted from the dense-untiled bits"
-            ));
-        }
-    }
-    let tol = numbers_after(text, "rel_tolerance");
-    let rels = numbers_after(text, "max_rel_err");
-    if rels.len() != 2 {
-        errs.push(format!("want 2 fast-div configs, found {}", rels.len()));
-    }
-    match tol.first() {
-        Some(t) => {
-            for (i, r) in rels.iter().enumerate() {
-                if !r.is_finite() || r > t {
-                    errs.push(format!("fast-div config {i}: max_rel_err {r} over {t}"));
-                }
-            }
-        }
-        None => errs.push("missing rel_tolerance".into()),
-    }
-    for key in ["modeled_cycles", "lines_missed"] {
-        for (i, v) in numbers_after(text, key).iter().enumerate() {
-            if *v < 1.0 {
-                errs.push(format!("entry {i}: \"{key}\" = {v} below 1"));
-            }
-        }
-    }
-    for (i, v) in numbers_after(text, "cells_per_sec").iter().enumerate() {
-        if !v.is_finite() || *v <= 0.0 {
-            errs.push(format!("entry {i}: non-physical cells_per_sec {v}"));
-        }
-    }
-    for (speed, floor) in [
-        ("diffusion_speedup", "diffusion_speedup_floor"),
-        ("flux_speedup", "flux_speedup_floor"),
-    ] {
-        let s = numbers_after(text, speed);
-        let f = numbers_after(text, floor);
-        match (s.first(), f.first()) {
-            (Some(s), Some(f)) if s >= f => {}
-            (Some(s), Some(f)) => {
-                errs.push(format!("\"{speed}\" {s} below the {f} acceptance floor"))
-            }
-            _ => errs.push(format!("missing \"{speed}\" or its floor")),
+    for ((kernel, want), got) in [
+        ("diffusion_rhs", DIFFUSION_CHECKSUM),
+        ("godunov_flux", FLUX_CHECKSUM),
+    ]
+    .iter()
+    .zip(&sums)
+    {
+        if got.to_bits() != want.to_bits() {
+            errs.push(format!("{kernel} checksum {got:e} drifted from {want:e}"));
         }
     }
     errs

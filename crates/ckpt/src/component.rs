@@ -80,8 +80,12 @@ impl ComponentSet {
         let config_hash = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
         let steps_done = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
         let n_parts = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8")) as usize;
-        if n_parts > 1 << 16 {
-            return Err(CkptError::Corrupt(format!("{n_parts} parts")));
+        // A part is at least its two length prefixes and its checksum.
+        if n_parts > (1 << 16).min((body.len() - pos) / 24) {
+            return Err(CkptError::Corrupt(format!(
+                "{n_parts} parts in {} remaining bytes",
+                body.len() - pos
+            )));
         }
         let mut parts = Vec::with_capacity(n_parts);
         for _ in 0..n_parts {

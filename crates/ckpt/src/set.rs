@@ -252,6 +252,21 @@ impl<'a> Rd<'a> {
         Ok(IntBox::new(lo, hi))
     }
 
+    /// A declared entry count, refused above the format's `max` or when
+    /// `wire` bytes per entry could not fit in the bytes left — so no
+    /// reservation sized from it outgrows the input.
+    fn count(&mut self, max: usize, wire: usize, what: &str) -> Result<usize, CkptError> {
+        let n = self.u64()?;
+        let fit = (self.buf.len() - self.pos) / wire;
+        if n > max.min(fit) as u64 {
+            return Err(CkptError::Corrupt(format!(
+                "{n} {what} (at most {} fit in the remaining bytes)",
+                max.min(fit)
+            )));
+        }
+        Ok(n as usize)
+    }
+
     fn bytes(&mut self, cap: usize, what: &str) -> Result<Vec<u8>, CkptError> {
         let n = self.u64()? as usize;
         if n > cap {
@@ -352,16 +367,16 @@ impl CheckpointSet {
             return Err(CkptError::Corrupt(format!("ratio {ratio}")));
         }
         let next_id = r.u64()? as usize;
-        let n_levels = r.u64()? as usize;
-        if n_levels == 0 || n_levels > 64 {
-            return Err(CkptError::Corrupt(format!("{n_levels} levels")));
+        // Wire bytes per entry: a level's patch count; a patch's id and
+        // box; a part's two length prefixes and checksum; a shard's
+        // writer, record count, length prefix and checksum.
+        let n_levels = r.count(64, 8, "levels")?;
+        if n_levels == 0 {
+            return Err(CkptError::Corrupt("0 levels".into()));
         }
         let mut patches = Vec::with_capacity(n_levels);
         for _ in 0..n_levels {
-            let n = r.u64()? as usize;
-            if n > 1 << 24 {
-                return Err(CkptError::Corrupt(format!("{n} patches")));
-            }
+            let n = r.count(1 << 24, 40, "patches")?;
             let mut level = Vec::with_capacity(n);
             for _ in 0..n {
                 let id = r.u64()? as usize;
@@ -370,10 +385,7 @@ impl CheckpointSet {
             }
             patches.push(level);
         }
-        let n_parts = r.u64()? as usize;
-        if n_parts > 1 << 16 {
-            return Err(CkptError::Corrupt(format!("{n_parts} parts")));
-        }
+        let n_parts = r.count(1 << 16, 24, "parts")?;
         let mut parts = Vec::with_capacity(n_parts);
         for _ in 0..n_parts {
             let name_bytes = r.bytes(1 << 20, "part name")?;
@@ -389,10 +401,7 @@ impl CheckpointSet {
             }
             parts.push((name, blob));
         }
-        let n_shards = r.u64()? as usize;
-        if n_shards > 1 << 20 {
-            return Err(CkptError::Corrupt(format!("{n_shards} shards")));
-        }
+        let n_shards = r.count(1 << 20, 32, "shards")?;
         let mut shards = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
             let writer = r.u64()? as usize;

@@ -13,7 +13,6 @@ use crate::ports::{
 };
 use cca_core::{scratch, Component, Services};
 use cca_mesh::data::PatchData;
-use cca_mesh::layout::KernelConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,40 +96,17 @@ impl DiffProps for KernelProps {
 
 /// The 5-point diffusive RHS of one patch — the single copy of the
 /// stencil arithmetic behind both the port and the kernel face.
-/// Snapshots the process-wide [`KernelConfig`] once per call; see
-/// [`diffusion_rhs_cfg`] for the explicit-config form.
+///
+/// One property pass fills per-cell tables over the interior plus its
+/// one-cell ring (`λ`, `1/ρcp`, `1/ρ` per cell; `ρD` per species plane,
+/// all in pooled scratch), then one stencil pass consumes them row by
+/// row over unit-stride slices.
 fn diffusion_rhs<P: DiffProps>(
     props: &P,
     state: &PatchData,
     rhs: &mut PatchData,
     dx: f64,
     dy: f64,
-) {
-    diffusion_rhs_cfg(props, state, rhs, dx, dy, KernelConfig::current());
-}
-
-/// Cache-tiled, band-fused diffusive RHS (DESIGN.md §13).
-///
-/// The j-loop is blocked into bands of `cfg.band_rows` interior rows. The
-/// per-cell transport/thermo property tables (`λ`, `1/ρcp`, `1/ρ` per
-/// cell; `ρD` per species plane) are computed into pooled scratch sized
-/// for **one band plus its one-row stencil halo** and consumed by the
-/// stencil sweep immediately — the property and divergence stages are
-/// fused at band granularity, so no patch-sized intermediate field ever
-/// exists and the working set stays cache resident. Properties are pure
-/// per-cell functions, so recomputing the band-halo rows gives the exact
-/// values a whole-patch table would, and with `cfg.fast_div` off every
-/// cell's arithmetic is the seed expression in the seed order: results
-/// are bit-identical at any tile size and pitch. `cfg.fast_div` replaces
-/// the two per-cell divisions by `dx²`/`dy²` with hoisted reciprocal
-/// multiplies (tolerance-gated, default off).
-fn diffusion_rhs_cfg<P: DiffProps>(
-    props: &P,
-    state: &PatchData,
-    rhs: &mut PatchData,
-    dx: f64,
-    dy: f64,
-    cfg: KernelConfig,
 ) {
     let n = props.n_species();
     assert_eq!(state.nvars, n, "state layout is {{T, Y1..Y_{{N-1}}}}");
@@ -142,14 +118,12 @@ fn diffusion_rhs_cfg<P: DiffProps>(
     let ring = int.grow(1);
     let nxr = ring.nx() as usize;
     let nxi = int.nx() as usize;
-    let band_h = cfg.band_rows(int.ny() as usize);
-    // One band of stencil rows plus the halo row above and below.
-    let rows_cap = band_h + 2;
-    let mut lambda = scratch::take_f64(rows_cap * nxr);
-    let mut inv_rho_cp = scratch::take_f64(rows_cap * nxr);
-    let mut inv_rho = scratch::take_f64(rows_cap * nxr);
-    // One dense plane per species so each species sweep is unit-stride.
-    let mut rho_d = scratch::take_f64(n * rows_cap * nxr);
+    let cells = ring.count() as usize;
+    let mut lambda = scratch::take_f64(cells);
+    let mut inv_rho_cp = scratch::take_f64(cells);
+    let mut inv_rho = scratch::take_f64(cells);
+    // One plane per species so each species sweep is unit-stride.
+    let mut rho_d = scratch::take_f64(n * cells);
     // Per-cell working slices, hoisted out of the property loop.
     let mut y = scratch::take_f64(n);
     let mut x = scratch::take_f64(n);
@@ -161,102 +135,85 @@ fn diffusion_rhs_cfg<P: DiffProps>(
     let c0r = (ring.lo[0] - state.total_box().lo[0]) as usize;
     let c0i = c0r + 1;
     let r0 = (int.lo[0] - rhs.total_box().lo[0]) as usize;
-    let inv_dx2 = 1.0 / (dx * dx);
-    let inv_dy2 = 1.0 / (dy * dy);
 
-    let mut j0 = int.lo[1];
-    while j0 <= int.hi[1] {
-        let j1 = (j0 + band_h as i64 - 1).min(int.hi[1]);
-        // Property pass over the band's ring rows [j0-1, j1+1].
-        for (r, j) in (j0 - 1..=j1 + 1).enumerate() {
-            let trow = &state.row(0, j)[c0r..c0r + nxr];
-            for (ii, tv) in trow.iter().enumerate() {
-                let t = tv.max(200.0);
-                let mut bulk = 1.0;
-                for (v, yv) in y.iter_mut().take(n - 1).enumerate() {
-                    *yv = state.row(1 + v, j)[c0r + ii];
-                    bulk -= *yv;
-                }
-                y[n - 1] = bulk;
-                let w_mean = props.mean_molar_mass(&y);
-                let rho = props.density(t, P0, &y);
-                for (v, xv) in x.iter_mut().enumerate() {
-                    *xv = y[v] * w_mean / w[v];
-                }
-                props.mix_diffusivities(t, P0, &x, &mut d);
-                let cell = r * nxr + ii;
-                lambda[cell] = props.mix_conductivity(t, &x);
-                let cp = props.cp_mass(t, &y);
-                for (v, di) in d.iter().enumerate() {
-                    rho_d[v * rows_cap * nxr + cell] = rho * di;
-                }
-                inv_rho_cp[cell] = 1.0 / (rho * cp);
-                inv_rho[cell] = 1.0 / rho;
+    // Property pass over the ring rows.
+    for (r, j) in (ring.lo[1]..=ring.hi[1]).enumerate() {
+        let trow = &state.row(0, j)[c0r..c0r + nxr];
+        for (ii, tv) in trow.iter().enumerate() {
+            let t = tv.max(200.0);
+            let mut bulk = 1.0;
+            for (v, yv) in y.iter_mut().take(n - 1).enumerate() {
+                *yv = state.row(1 + v, j)[c0r + ii];
+                bulk -= *yv;
             }
+            y[n - 1] = bulk;
+            let w_mean = props.mean_molar_mass(&y);
+            let rho = props.density(t, P0, &y);
+            for (v, xv) in x.iter_mut().enumerate() {
+                *xv = y[v] * w_mean / w[v];
+            }
+            props.mix_diffusivities(t, P0, &x, &mut d);
+            let cell = r * nxr + ii;
+            lambda[cell] = props.mix_conductivity(t, &x);
+            let cp = props.cp_mass(t, &y);
+            for (v, di) in d.iter().enumerate() {
+                rho_d[v * cells + cell] = rho * di;
+            }
+            inv_rho_cp[cell] = 1.0 / (rho * cp);
+            inv_rho[cell] = 1.0 / rho;
         }
-        // Stencil pass: consume the band tables while they are hot.
-        for j in j0..=j1 {
-            // Table row of stencil row `j` (halo row j0-1 is table row 0).
-            let tj = (j - (j0 - 1)) as usize;
-            let (lam_s, rest) = lambda[(tj - 1) * nxr..(tj + 2) * nxr].split_at(nxr);
-            let (lam_c, lam_n) = rest.split_at(nxr);
-            let ircp = &inv_rho_cp[tj * nxr..(tj + 1) * nxr];
-            // Temperature: (1/ρcp) ∇·(λ∇T), 5-point form with
-            // face-averaged coefficients.
-            let (t_s, t_c, t_n) = state.rows3(0, j);
-            let out = rhs.row_mut(0, j);
+    }
+    // Stencil pass over the interior rows.
+    for j in int.lo[1]..=int.hi[1] {
+        // Table row of stencil row `j` (ring row 0 is the row below).
+        let tj = (j - ring.lo[1]) as usize;
+        let (lam_s, rest) = lambda[(tj - 1) * nxr..(tj + 2) * nxr].split_at(nxr);
+        let (lam_c, lam_n) = rest.split_at(nxr);
+        let ircp = &inv_rho_cp[tj * nxr..(tj + 1) * nxr];
+        // Temperature: (1/ρcp) ∇·(λ∇T), 5-point form with
+        // face-averaged coefficients.
+        let (t_s, t_c, t_n) = state.rows3(0, j);
+        let out = rhs.row_mut(0, j);
+        for ii in 0..nxi {
+            let p = ii + 1; // ring/table column of interior column ii
+            let s = c0i + ii; // stored-row column
+            let lam_cc = lam_c[p];
+            let lam_e = 0.5 * (lam_cc + lam_c[p + 1]);
+            let lam_w = 0.5 * (lam_cc + lam_c[p - 1]);
+            let lam_nn = 0.5 * (lam_cc + lam_n[p]);
+            let lam_ss = 0.5 * (lam_cc + lam_s[p]);
+            let t_cc = t_c[s];
+            let div_x = lam_e * (t_c[s + 1] - t_cc) - lam_w * (t_cc - t_c[s - 1]);
+            let div_y = lam_nn * (t_n[s] - t_cc) - lam_ss * (t_cc - t_s[s]);
+            out[r0 + ii] = ircp[p] * (div_x / (dx * dx) + div_y / (dy * dy));
+        }
+        // Species: (1/ρ) ∇·(ρD_i ∇Y_i) for the N-1 stored species.
+        let irho = &inv_rho[tj * nxr..(tj + 1) * nxr];
+        for v in 0..n - 1 {
+            let plane = &rho_d[v * cells..(v + 1) * cells];
+            let (b_s, rest) = plane[(tj - 1) * nxr..(tj + 2) * nxr].split_at(nxr);
+            let (b_c, b_n) = rest.split_at(nxr);
+            let (y_s, y_c, y_n) = state.rows3(1 + v, j);
+            let out = rhs.row_mut(1 + v, j);
             for ii in 0..nxi {
-                let p = ii + 1; // ring/table column of interior column ii
-                let s = c0i + ii; // stored-row column
-                let lam_cc = lam_c[p];
-                let lam_e = 0.5 * (lam_cc + lam_c[p + 1]);
-                let lam_w = 0.5 * (lam_cc + lam_c[p - 1]);
-                let lam_nn = 0.5 * (lam_cc + lam_n[p]);
-                let lam_ss = 0.5 * (lam_cc + lam_s[p]);
-                let t_cc = t_c[s];
-                let div_x = lam_e * (t_c[s + 1] - t_cc) - lam_w * (t_cc - t_c[s - 1]);
-                let div_y = lam_nn * (t_n[s] - t_cc) - lam_ss * (t_cc - t_s[s]);
-                let div_t = if cfg.fast_div {
-                    div_x * inv_dx2 + div_y * inv_dy2
-                } else {
-                    div_x / (dx * dx) + div_y / (dy * dy)
-                };
-                out[r0 + ii] = ircp[p] * div_t;
-            }
-            // Species: (1/ρ) ∇·(ρD_i ∇Y_i) for the N-1 stored species.
-            let irho = &inv_rho[tj * nxr..(tj + 1) * nxr];
-            for v in 0..n - 1 {
-                let plane = &rho_d[v * rows_cap * nxr..(v + 1) * rows_cap * nxr];
-                let (b_s, rest) = plane[(tj - 1) * nxr..(tj + 2) * nxr].split_at(nxr);
-                let (b_c, b_n) = rest.split_at(nxr);
-                let (y_s, y_c, y_n) = state.rows3(1 + v, j);
-                let out = rhs.row_mut(1 + v, j);
-                for ii in 0..nxi {
-                    let p = ii + 1;
-                    let s = c0i + ii;
-                    let b_cc = b_c[p];
-                    let b_e = 0.5 * (b_cc + b_c[p + 1]);
-                    let b_w = 0.5 * (b_cc + b_c[p - 1]);
-                    let b_nn = 0.5 * (b_cc + b_n[p]);
-                    let b_ss = 0.5 * (b_cc + b_s[p]);
-                    let y_cc = y_c[s];
-                    let div_x = b_e * (y_c[s + 1] - y_cc) - b_w * (y_cc - y_c[s - 1]);
-                    let div_y = b_nn * (y_n[s] - y_cc) - b_ss * (y_cc - y_s[s]);
-                    let div = if cfg.fast_div {
-                        div_x * inv_dx2 + div_y * inv_dy2
-                    } else {
-                        div_x / (dx * dx) + div_y / (dy * dy)
-                    };
-                    out[r0 + ii] = irho[p] * div;
-                }
+                let p = ii + 1;
+                let s = c0i + ii;
+                let b_cc = b_c[p];
+                let b_e = 0.5 * (b_cc + b_c[p + 1]);
+                let b_w = 0.5 * (b_cc + b_c[p - 1]);
+                let b_nn = 0.5 * (b_cc + b_n[p]);
+                let b_ss = 0.5 * (b_cc + b_s[p]);
+                let y_cc = y_c[s];
+                let div_x = b_e * (y_c[s + 1] - y_cc) - b_w * (y_cc - y_c[s - 1]);
+                let div_y = b_nn * (y_n[s] - y_cc) - b_ss * (y_cc - y_s[s]);
+                out[r0 + ii] = irho[p] * (div_x / (dx * dx) + div_y / (dy * dy));
             }
         }
-        j0 = j1 + 1;
     }
 }
 
-/// Explicit-config entry point over kernel snapshots, for benches and
-/// tiling-correctness tests that must not mutate the process-wide knobs.
+/// The diffusive RHS over chemistry/transport kernel snapshots, without
+/// a component assembly (benches and kernel tests).
 pub fn diffusion_rhs_with_kernels(
     chem: &Arc<dyn ChemistryKernel>,
     transport: &Arc<dyn TransportKernel>,
@@ -264,13 +221,12 @@ pub fn diffusion_rhs_with_kernels(
     rhs: &mut PatchData,
     dx: f64,
     dy: f64,
-    cfg: KernelConfig,
 ) {
     let props = KernelProps {
         chem: chem.clone(),
         transport: transport.clone(),
     };
-    diffusion_rhs_cfg(&props, state, rhs, dx, dy, cfg);
+    diffusion_rhs(&props, state, rhs, dx, dy);
 }
 
 /// Worker-thread face: chemistry + transport kernel snapshots and the

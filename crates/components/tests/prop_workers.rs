@@ -1,11 +1,7 @@
-//! Property tests of the PR-9 layout/tiling contract: for random box
-//! sizes × tile heights × pitch quanta, the cache-tiled diffusion RHS
-//! and Godunov flux sweeps reproduce the untiled dense-pitch reference
-//! bit-for-bit at 1, 2, and 4 executor workers (the kernels preserve
-//! per-cell summation order), while the reassociating fast-div mode is
-//! gated at 1e-12 relative per cell. Every run goes through an explicit
-//! [`KernelConfig`], never the process-wide knobs, so cases are free of
-//! cross-test interference.
+//! Property tests of executor-worker invariance: for random box sizes,
+//! the diffusion RHS and Godunov flux sweeps run through the patch
+//! executor at 1, 2, and 4 workers reproduce the serial per-patch
+//! results bit-for-bit.
 
 use cca_components::diffusion::diffusion_rhs_with_kernels;
 use cca_components::ports::{ChemistryKernel, ChemistrySourcePort, TransportKernel, TransportPort};
@@ -13,10 +9,10 @@ use cca_components::thermochem::ThermoChemistry;
 use cca_components::transport_comp::DrfmComponent;
 use cca_core::{Executor, Framework, Profiler};
 use cca_hydro_solver::limiter::Limiter;
-use cca_hydro_solver::muscl::compute_rhs_cfg;
+use cca_hydro_solver::muscl::compute_rhs;
 use cca_hydro_solver::riemann::GodunovFlux;
 use cca_hydro_solver::state::{prim_to_cons, Prim, NVARS};
-use cca_mesh::{IntBox, KernelConfig, PatchData};
+use cca_mesh::{IntBox, PatchData};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::rc::Rc;
@@ -62,10 +58,10 @@ fn noise(i: i64, j: i64, seed: u64) -> f64 {
     (i.wrapping_mul(31) + j.wrapping_mul(17) + seed as i64).rem_euclid(23) as f64 / 23.0
 }
 
-/// A physical flame-state patch at the given pitch quantum; values are a
-/// pure function of `(i, j, seed)`, so any quantum carries equal bits.
-fn diffusion_patch(nx: i64, ny: i64, quantum: usize, seed: u64) -> PatchData {
-    let mut pd = PatchData::with_pitch_quantum(IntBox::sized(nx, ny), NSPEC, 1, quantum);
+/// A physical flame-state patch; values are a pure function of
+/// `(i, j, seed)`.
+fn diffusion_patch(nx: i64, ny: i64, seed: u64) -> PatchData {
+    let mut pd = PatchData::new(IntBox::sized(nx, ny), NSPEC, 1);
     for (i, j) in pd.total_box().cells() {
         let h = noise(i, j, seed);
         pd.set(0, i, j, 320.0 + 1100.0 * h);
@@ -80,8 +76,8 @@ fn diffusion_patch(nx: i64, ny: i64, quantum: usize, seed: u64) -> PatchData {
 
 /// A conserved Euler patch (two ghost rings) with shocks that keep the
 /// limiter branches live.
-fn flux_patch(nx: i64, ny: i64, quantum: usize, seed: u64) -> PatchData {
-    let mut pd = PatchData::with_pitch_quantum(IntBox::sized(nx, ny), NVARS, 2, quantum);
+fn flux_patch(nx: i64, ny: i64, seed: u64) -> PatchData {
+    let mut pd = PatchData::new(IntBox::sized(nx, ny), NVARS, 2);
     for (i, j) in pd.total_box().cells() {
         let a = noise(i, j, seed);
         let b = noise(j, i, seed.wrapping_add(7));
@@ -124,50 +120,32 @@ fn assert_bits_equal(got: &PatchData, want: &PatchData) -> Result<(), TestCaseEr
     Ok(())
 }
 
-fn assert_within_rel(got: &PatchData, want: &PatchData, tol: f64) -> Result<(), TestCaseError> {
-    for (i, j) in got.interior.cells() {
-        for v in 0..got.nvars {
-            let (x, y) = (want.get(v, i, j), got.get(v, i, j));
-            let rel = (x - y).abs() / x.abs().max(1.0);
-            prop_assert!(rel <= tol, "var {} at ({}, {}): {} vs {}", v, i, j, x, y);
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn tiled_diffusion_matches_untiled_at_any_worker_count(
+    fn diffusion_rhs_is_worker_count_invariant(
         nx in 4i64..18,
         ny in 4i64..18,
-        tile in 1usize..8,
-        quantum in prop::sample::select(vec![1usize, 4, 8, 16]),
         seed in 0usize..1000,
     ) {
         let seed = seed as u64;
         let (chem, transport) = props();
         let (dx, dy) = (0.01, 0.012);
-        // Untiled dense-pitch references, evaluated serially.
+        // Serial references, one kernel call per patch.
         let mut want = Vec::new();
         for (k, &(bx, by)) in boxes(nx, ny).iter().enumerate() {
-            let state = diffusion_patch(bx, by, 1, seed + k as u64);
+            let state = diffusion_patch(bx, by, seed + k as u64);
             let mut rhs = PatchData::new(state.interior, NSPEC, 0);
-            diffusion_rhs_with_kernels(
-                &chem, &transport, &state, &mut rhs, dx, dy, KernelConfig::UNTILED,
-            );
+            diffusion_rhs_with_kernels(&chem, &transport, &state, &mut rhs, dx, dy);
             want.push(rhs);
         }
-        for (fast_div, workers) in
-            [(false, 1usize), (false, 2), (false, 4), (true, 2)]
-        {
-            let cfg = KernelConfig { tile_rows: tile, fast_div };
+        for workers in [1usize, 2, 4] {
             let items: Vec<(PatchData, PatchData)> = boxes(nx, ny)
                 .iter()
                 .enumerate()
                 .map(|(k, &(bx, by))| {
-                    let state = diffusion_patch(bx, by, quantum, seed + k as u64);
+                    let state = diffusion_patch(bx, by, seed + k as u64);
                     let rhs = PatchData::new(state.interior, NSPEC, 0);
                     (state, rhs)
                 })
@@ -177,49 +155,37 @@ proptest! {
             let (c, t) = (chem.clone(), transport.clone());
             let out = exec
                 .run("prop.diffusion-rhs", items, move |_, (state, rhs)| {
-                    diffusion_rhs_with_kernels(&c, &t, state, rhs, dx, dy, cfg);
+                    diffusion_rhs_with_kernels(&c, &t, state, rhs, dx, dy);
                 })
                 .into_result()
                 .expect("kernels do not panic");
             for ((_, rhs), want) in out.iter().zip(&want) {
-                if fast_div {
-                    assert_within_rel(rhs, want, 1e-12)?;
-                } else {
-                    assert_bits_equal(rhs, want)?;
-                }
+                assert_bits_equal(rhs, want)?;
             }
         }
     }
 
     #[test]
-    fn tiled_flux_sweep_matches_untiled_at_any_worker_count(
+    fn flux_sweep_is_worker_count_invariant(
         nx in 4i64..18,
         ny in 4i64..18,
-        tile in 1usize..8,
-        quantum in prop::sample::select(vec![1usize, 4, 8, 16]),
         seed in 0usize..1000,
     ) {
         let seed = seed as u64;
         let (dx, dy, gamma) = (0.05, 0.08, 1.4);
         let mut want = Vec::new();
         for (k, &(bx, by)) in boxes(nx, ny).iter().enumerate() {
-            let state = flux_patch(bx, by, 1, seed + k as u64);
+            let state = flux_patch(bx, by, seed + k as u64);
             let mut rhs = PatchData::new(state.interior, NVARS, 0);
-            compute_rhs_cfg(
-                &state, &mut rhs, dx, dy, gamma,
-                &GodunovFlux, Limiter::MinMod, KernelConfig::UNTILED,
-            );
+            compute_rhs(&state, &mut rhs, dx, dy, gamma, &GodunovFlux, Limiter::MinMod);
             want.push(rhs);
         }
-        for (fast_div, workers) in
-            [(false, 1usize), (false, 2), (false, 4), (true, 2)]
-        {
-            let cfg = KernelConfig { tile_rows: tile, fast_div };
+        for workers in [1usize, 2, 4] {
             let items: Vec<(PatchData, PatchData)> = boxes(nx, ny)
                 .iter()
                 .enumerate()
                 .map(|(k, &(bx, by))| {
-                    let state = flux_patch(bx, by, quantum, seed + k as u64);
+                    let state = flux_patch(bx, by, seed + k as u64);
                     let rhs = PatchData::new(state.interior, NVARS, 0);
                     (state, rhs)
                 })
@@ -228,18 +194,12 @@ proptest! {
             exec.set_workers(workers);
             let out = exec
                 .run("prop.flux-sweep", items, move |_, (state, rhs)| {
-                    compute_rhs_cfg(
-                        state, rhs, dx, dy, gamma, &GodunovFlux, Limiter::MinMod, cfg,
-                    );
+                    compute_rhs(state, rhs, dx, dy, gamma, &GodunovFlux, Limiter::MinMod);
                 })
                 .into_result()
                 .expect("kernels do not panic");
             for ((_, rhs), want) in out.iter().zip(&want) {
-                if fast_div {
-                    assert_within_rel(rhs, want, 1e-12)?;
-                } else {
-                    assert_bits_equal(rhs, want)?;
-                }
+                assert_bits_equal(rhs, want)?;
             }
         }
     }

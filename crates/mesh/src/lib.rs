@@ -35,7 +35,6 @@ pub mod dist;
 pub mod ghost;
 pub mod hierarchy;
 pub mod interp;
-pub mod layout;
 pub mod regrid;
 
 pub use bc::{apply_physical_bc, BcKind, Side};
@@ -45,5 +44,4 @@ pub use data::{DataObject, PatchData, VarView};
 pub use decomp::UniformDecomp;
 pub use dist::DistributedHierarchy;
 pub use hierarchy::{Hierarchy, Level, Patch};
-pub use layout::KernelConfig;
 pub use regrid::{regrid_level, RegridParams};

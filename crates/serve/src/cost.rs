@@ -30,9 +30,10 @@ pub enum LatePolicy {
     Downgrade,
 }
 
-/// Modeled throughput of the tuned reaction–diffusion sweep, cells/s.
-/// Mirrors the `padded_tiled` diffusion row of BENCH_PR9.json
-/// (`cells_per_sec` ≈ 3.968e6 at the 2 GHz model clock).
+/// Modeled throughput of the reaction–diffusion sweep, cells/s: the
+/// fleet cost model's frozen calibration constant (the figure a retired
+/// 2 GHz machine model gave the diffusion RHS). It sets virtual ticks
+/// only; changing it moves every tick figure in BENCH_PR10.json.
 pub const RD_CELLS_PER_SEC: f64 = 3.967_884_931_336_991e6;
 /// Slowdown factor of a macro step when the implicit chemistry
 /// half-steps are on (per-cell BDF integrations dominate the sweep).
@@ -51,12 +52,14 @@ pub struct CostPrediction {
     /// Virtual ticks one uninterrupted attempt costs (`1 + steps`) —
     /// exact, because the dispatcher charges the same formula.
     pub run_ticks: u64,
-    /// Modeled wall seconds (PR 9 machine model), for capacity planning.
+    /// Modeled wall seconds (from the calibration constants), for
+    /// capacity planning.
     pub modeled_seconds: f64,
 }
 
-/// The calibrated predictor. The default constants mirror the PR 9
-/// machine model; tests may override them to probe admission logic.
+/// The calibrated predictor. The default constants are frozen
+/// calibration figures (see [`RD_CELLS_PER_SEC`]); tests may override
+/// them to probe admission logic.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Reaction–diffusion sweep throughput, cells/s.

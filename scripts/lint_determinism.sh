@@ -12,8 +12,8 @@
 # and regrid plans must be *identical on every rank*, so any hash-ordered
 # iteration there is a cross-rank divergence, not just run-to-run noise.
 # The kernel crates (hydro/components/chem/solvers) are covered too:
-# their tiled sweeps promise bit-identical results at any tile size and
-# worker count, which a hash-ordered traversal would break the same way.
+# their sweeps promise bit-identical results at any executor worker
+# count, which a hash-ordered traversal would break the same way.
 #
 # Files listed in ALLOW may use hash containers because their results are
 # provably order-insensitive (membership tests, min/max folds, counting);
